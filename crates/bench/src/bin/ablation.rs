@@ -1,5 +1,5 @@
 //! Ablation study over SABRE's design decisions (extension beyond the
-//! paper's tables; DESIGN.md §3 "Ablation").
+//! paper's tables).
 //!
 //! Columns isolate each §IV-C/§IV-D mechanism:
 //!

@@ -1,5 +1,5 @@
 //! Noise-aware routing study — the §VI "More Precise Hardware Modeling"
-//! extension (beyond the paper's tables; see DESIGN.md §3).
+//! extension (beyond the paper's tables).
 //!
 //! IBM Q20 Tokyo gets calibration-like per-coupling error variability
 //! (log-uniform spread ×4 around the Figure 2 average of 3×10⁻²). Each

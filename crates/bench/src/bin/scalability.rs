@@ -5,7 +5,8 @@
 //! and `qft_20`; SABRE solves all of them in ≤ 0.1 s.
 //!
 //! The qft and ising series sweep n ∈ {10, 13, 16, 20}; BKA's generated
-//! node count is the memory proxy (DESIGN.md §4).
+//! node count is the memory proxy: the paper's gigabytes depend on its
+//! machine, the count of generated search nodes does not.
 //!
 //! Usage:
 //!

@@ -11,7 +11,7 @@
 //! Every SABRE and BKA result is verified (hardware compliance +
 //! permutation replay) before being printed. Paper-reported numbers are
 //! shown next to the measured ones; absolute values differ (different
-//! hardware, substituted benchmark files — see DESIGN.md §4) but the
+//! hardware, benchmark files regenerated by `sabre_benchgen`) but the
 //! qualitative shape should match: near-total reductions for small/sim
 //! rows, a clear SABRE advantage on qft/large rows, and BKA running out
 //! of memory on exactly the rows where the paper reports it

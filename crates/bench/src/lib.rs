@@ -1,8 +1,8 @@
 //! Shared harness utilities for the experiment binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see `DESIGN.md` §3 for the index); this library
-//! holds the common measurement and formatting plumbing.
+//! paper's evaluation (its module docs name which); this library holds
+//! the common measurement and formatting plumbing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 //! including quantum programs from IBM's QISKit, some functions from
 //! RevLib, and some algorithms compiled from Quipper and ScaffCC" (§V).
 //! Those exact files are not redistributable here, so this crate
-//! regenerates the suite (substitution #1 in `DESIGN.md`):
+//! regenerates the suite:
 //!
 //! - [`qft`]: **structurally exact** Quantum Fourier Transform circuits
 //!   (full and approximate variants, controlled-phase or CNOT-decomposed).

@@ -2,7 +2,8 @@
 //!
 //! Each entry names one row of the paper's Table II, carries the numbers
 //! the paper reports for it (original size, BKA and SABRE results), and
-//! knows how to generate the substitute circuit described in `DESIGN.md`.
+//! knows how to generate its substitute circuit (the crate docs explain
+//! why the suite is regenerated rather than shipped).
 //! The experiment binaries in `sabre-bench` iterate this registry to
 //! regenerate the table.
 

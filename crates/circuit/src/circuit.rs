@@ -114,26 +114,29 @@ impl Circuit {
     /// gate repeats a wire (the latter is normally prevented by [`Gate`]'s
     /// own constructors).
     pub fn try_push(&mut self, gate: Gate) -> Result<(), CircuitError> {
-        let (a, b) = gate.qubits();
-        if a.0 >= self.num_qubits {
-            return Err(CircuitError::QubitOutOfRange {
-                qubit: a,
-                num_qubits: self.num_qubits,
-            });
-        }
-        if let Some(b) = b {
-            if b.0 >= self.num_qubits {
-                return Err(CircuitError::QubitOutOfRange {
-                    qubit: b,
-                    num_qubits: self.num_qubits,
-                });
-            }
-            if a == b {
-                return Err(CircuitError::DuplicateOperands { qubit: a });
-            }
-        }
+        check_gate(self.num_qubits, &gate)?;
         self.gates.push(gate);
         Ok(())
+    }
+
+    /// Builds a circuit from a finished gate list, taking ownership of
+    /// the `Vec` (no per-gate copy). Front-ends that learn the register
+    /// size only after reading every gate, like the QASM parser, build
+    /// the list first and validate it here in one pass.
+    ///
+    /// # Errors
+    ///
+    /// The first gate [`Circuit::try_push`] would reject, with the same
+    /// error.
+    pub fn from_gates(num_qubits: u32, gates: Vec<Gate>) -> Result<Self, CircuitError> {
+        for gate in &gates {
+            check_gate(num_qubits, gate)?;
+        }
+        Ok(Circuit {
+            num_qubits,
+            gates,
+            name: String::new(),
+        })
     }
 
     /// Appends a gate.
@@ -473,6 +476,30 @@ impl fmt::Display for Circuit {
     }
 }
 
+/// The operand checks shared by [`Circuit::try_push`] and
+/// [`Circuit::from_gates`].
+fn check_gate(num_qubits: u32, gate: &Gate) -> Result<(), CircuitError> {
+    let (a, b) = gate.qubits();
+    if a.0 >= num_qubits {
+        return Err(CircuitError::QubitOutOfRange {
+            qubit: a,
+            num_qubits,
+        });
+    }
+    if let Some(b) = b {
+        if b.0 >= num_qubits {
+            return Err(CircuitError::QubitOutOfRange {
+                qubit: b,
+                num_qubits,
+            });
+        }
+        if a == b {
+            return Err(CircuitError::DuplicateOperands { qubit: a });
+        }
+    }
+    Ok(())
+}
+
 /// Size and depth summary of a [`Circuit`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CircuitStats {
@@ -599,6 +626,22 @@ mod tests {
         );
         let err = c.try_push(Gate::cx(Qubit(0), Qubit(5))).unwrap_err();
         assert!(matches!(err, CircuitError::QubitOutOfRange { .. }));
+    }
+
+    #[test]
+    fn from_gates_validates_like_try_push() {
+        let gates = vec![Gate::h(Qubit(0)), Gate::cx(Qubit(0), Qubit(1))];
+        let c = Circuit::from_gates(2, gates.clone()).unwrap();
+        assert_eq!(c.gates(), &gates[..]);
+        assert_eq!(c.num_qubits(), 2);
+        assert!(c.name().is_empty());
+        assert_eq!(
+            Circuit::from_gates(1, gates).unwrap_err(),
+            CircuitError::QubitOutOfRange {
+                qubit: Qubit(1),
+                num_qubits: 1
+            }
+        );
     }
 
     #[test]

@@ -37,6 +37,7 @@ impl JsonValue {
     /// [`JsonError`] with the byte offset and reason of the first problem.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -51,6 +52,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -175,17 +177,13 @@ impl<'a> Parser<'a> {
         loop {
             let start = self.pos;
             // Copy the longest run of plain bytes in one slice operation.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            // Safe to slice: we only stopped on ASCII boundaries, and the
-            // input is valid UTF-8 (it came in as &str).
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is UTF-8"),
-            );
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            // The run stops at an ASCII byte (or the end), so both ends
+            // are char boundaries of the input.
+            out.push_str(&self.input[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;

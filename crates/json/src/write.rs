@@ -1,3 +1,5 @@
+use std::fmt::Write as _;
+
 use crate::JsonValue;
 
 impl JsonValue {
@@ -26,7 +28,7 @@ fn write_value(out: &mut String, value: &JsonValue, indent: Option<usize>, level
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(true) => out.push_str("true"),
         JsonValue::Bool(false) => out.push_str("false"),
-        JsonValue::Int(n) => out.push_str(&n.to_string()),
+        JsonValue::Int(n) => write_int(out, *n),
         JsonValue::Float(x) => write_float(out, *x),
         JsonValue::Str(s) => write_string(out, s),
         JsonValue::Array(items) => write_seq(out, items.len(), indent, level, b'[', |out, i| {
@@ -65,16 +67,40 @@ fn write_seq(
             out.push(',');
         }
         if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (level + 1)));
+            newline(out, width * (level + 1));
         }
         item(out, i);
     }
     if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * level));
+        newline(out, width * level);
     }
     out.push(close);
+}
+
+fn newline(out: &mut String, spaces: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', spaces));
+}
+
+/// Appends `n` in decimal without going through `fmt`.
+fn write_int(out: &mut String, n: i128) {
+    // i128::MIN has 39 digits plus the sign.
+    let mut digits = [0u8; 40];
+    let mut start = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        start -= 1;
+        digits[start] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 fn write_float(out: &mut String, x: f64) {
@@ -83,32 +109,49 @@ fn write_float(out: &mut String, x: f64) {
         out.push_str("null");
         return;
     }
-    let text = x.to_string();
-    out.push_str(&text);
+    let start = out.len();
+    let _ = write!(out, "{x}");
     // Keep the float/integer distinction on round trips: `2.0` formats as
     // "2" in Rust, which would re-parse as an integer.
-    if !text.contains(['.', 'e', 'E']) {
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no
+/// escape are copied in one slice; every byte that does is ASCII, so the
+/// run boundaries are always char boundaries.
 fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    while let Some(len) = bytes[run..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        let i = run + len;
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        let b = bytes[i];
+        let code = match b {
+            b'"' | b'\\' => b,
+            b'\n' => b'n',
+            b'\r' => b'r',
+            b'\t' => b't',
+            0x08 => b'b',
+            0x0C => b'f',
+            _ => b'u',
+        };
+        out.push('\\');
+        out.push(code as char);
+        if code == b'u' {
+            out.push_str("00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xF)] as char);
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -19,6 +19,14 @@
 //! - `barrier` and `measure` statements are skipped (counted in
 //!   [`ParsedProgram`]): mapping operates on the unitary part of a circuit.
 //!
+//! The lexer is zero-copy: tokens are `Copy` values whose identifiers
+//! and strings borrow the source, lexed one at a time as the parser asks.
+//! The parser reads each gate into fixed-size parameter and operand
+//! buffers and pushes it straight onto the circuit's gate list, so a
+//! program costs no allocation per token or per gate (only the gate list
+//! grows, like any `Vec`). [`to_qasm`] writes integers without going
+//! through `fmt`.
+//!
 //! # Example
 //!
 //! ```

@@ -3,7 +3,7 @@ use std::f64::consts::{FRAC_PI_2, PI};
 
 use sabre_circuit::{Circuit, Gate, OneQubitKind, Params, Qubit, TwoQubitKind};
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Lexer, Token, TokenKind};
 use crate::QasmError;
 
 /// Result of parsing a full OpenQASM program, including what was skipped.
@@ -38,30 +38,36 @@ pub fn parse(source: &str) -> Result<Circuit, QasmError> {
 ///
 /// # Errors
 ///
-/// Same conditions as [`parse`].
+/// Same conditions as [`parse`]. A lexical error anywhere in the source
+/// takes precedence over a syntax error before it.
 pub fn parse_program(source: &str) -> Result<ParsedProgram, QasmError> {
-    let tokens = lex(source)?;
+    let mut lexer = Lexer::new(source);
+    let tok = lexer.next_token();
     let mut parser = Parser {
-        tokens,
-        pos: 0,
+        lexer,
+        tok,
         qregs: HashMap::new(),
+        last_qreg: None,
         qreg_order: Vec::new(),
-        cregs: HashMap::new(),
         num_qubits: 0,
         gates: Vec::new(),
         skipped_barriers: 0,
         skipped_measurements: 0,
     };
-    parser.program()?;
-    let mut circuit = Circuit::new(parser.num_qubits);
-    for gate in parser.gates {
-        circuit
-            .try_push(gate)
-            .map_err(|e| QasmError::new(0, 0, e.to_string()))?;
+    let parsed = parser.program();
+    if let Some(e) = parser.lexer.finish() {
+        return Err(e);
     }
+    parsed?;
+    let circuit = Circuit::from_gates(parser.num_qubits, parser.gates)
+        .map_err(|e| QasmError::new(0, 0, e.to_string()))?;
     Ok(ParsedProgram {
         circuit,
-        quantum_registers: parser.qreg_order,
+        quantum_registers: parser
+            .qreg_order
+            .into_iter()
+            .map(|(name, size)| (name.to_string(), size))
+            .collect(),
         skipped_barriers: parser.skipped_barriers,
         skipped_measurements: parser.skipped_measurements,
     })
@@ -75,64 +81,68 @@ enum Arg {
     Register(u32, u32),
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Most parameters and qubit arguments any supported gate takes.
+const MAX_PARAMS: usize = 3;
+const MAX_ARGS: usize = 2;
+
+/// Recursive-descent parser over the streaming [`Lexer`], with one token
+/// of lookahead. Names borrow from the source; a gate is parsed into
+/// fixed-size buffers and pushed straight onto the gate list.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The lookahead token.
+    tok: Token<'a>,
     /// name → (offset, size)
-    qregs: HashMap<String, (u32, u32)>,
-    qreg_order: Vec<(String, u32)>,
-    /// name → size (contents unused; declared for completeness)
-    cregs: HashMap<String, u32>,
+    qregs: HashMap<&'a str, (u32, u32)>,
+    /// The register the previous argument named: programs mostly name
+    /// one register, so this skips the hash on nearly every argument.
+    last_qreg: Option<(&'a str, (u32, u32))>,
+    qreg_order: Vec<(&'a str, u32)>,
     num_qubits: u32,
     gates: Vec<Gate>,
     skipped_barriers: usize,
     skipped_measurements: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+impl<'a> Parser<'a> {
+    /// Consumes the lookahead token; at end of input it stays `Eof`.
+    fn advance(&mut self) -> Token<'a> {
+        let t = self.tok;
+        if t.kind != TokenKind::Eof {
+            self.tok = self.lexer.next_token();
         }
         t
     }
 
     fn error_here(&self, message: impl Into<String>) -> QasmError {
-        let t = self.peek();
-        QasmError::new(t.line, t.column, message)
+        QasmError::new(self.tok.line, self.tok.column, message)
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, QasmError> {
-        if &self.peek().kind == kind {
-            Ok(self.advance())
+    fn expected(&self, what: &str) -> QasmError {
+        self.error_here(format!(
+            "expected {what}, found {}",
+            self.tok.kind.describe()
+        ))
+    }
+
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), QasmError> {
+        if self.tok.kind == kind {
+            self.advance();
+            Ok(())
         } else {
-            Err(self.error_here(format!(
-                "expected {}, found {}",
-                kind.describe(),
-                self.peek().kind.describe()
-            )))
+            Err(self.expected(&kind.describe()))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Token), QasmError> {
-        match self.peek().kind.clone() {
-            TokenKind::Ident(name) => {
-                let tok = self.advance();
-                Ok((name, tok))
-            }
-            other => {
-                Err(self.error_here(format!("expected identifier, found {}", other.describe())))
-            }
+    fn expect_ident(&mut self) -> Result<(&'a str, Token<'a>), QasmError> {
+        match self.tok.kind {
+            TokenKind::Ident(name) => Ok((name, self.advance())),
+            _ => Err(self.expected("identifier")),
         }
     }
 
     fn expect_uint(&mut self) -> Result<u32, QasmError> {
-        match self.peek().kind {
+        match self.tok.kind {
             TokenKind::Number(v) if v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64 => {
                 self.advance();
                 Ok(v as u32)
@@ -146,71 +156,73 @@ impl Parser {
     #[allow(clippy::redundant_guards)]
     fn program(&mut self) -> Result<(), QasmError> {
         // Header: OPENQASM 2.0;
-        self.expect(&TokenKind::OpenQasm)?;
-        match self.peek().kind {
+        self.expect(TokenKind::OpenQasm)?;
+        match self.tok.kind {
             TokenKind::Number(v) if v == 2.0 => {
                 self.advance();
             }
             _ => return Err(self.error_here("only OPENQASM 2.0 is supported")),
         }
-        self.expect(&TokenKind::Semicolon)?;
+        self.expect(TokenKind::Semicolon)?;
 
-        while self.peek().kind != TokenKind::Eof {
+        while self.tok.kind != TokenKind::Eof {
             self.statement()?;
         }
         Ok(())
     }
 
     fn statement(&mut self) -> Result<(), QasmError> {
-        let (name, tok) = match self.peek().kind.clone() {
-            TokenKind::Ident(name) => {
-                let tok = self.advance();
-                (name, tok)
-            }
-            other => {
-                return Err(
-                    self.error_here(format!("expected a statement, found {}", other.describe()))
-                )
-            }
+        let TokenKind::Ident(name) = self.tok.kind else {
+            return Err(self.error_here(format!(
+                "expected a statement, found {}",
+                self.tok.kind.describe()
+            )));
         };
-        match name.as_str() {
+        let tok = self.advance();
+        // Gate names and statement keywords are disjoint; gates are the
+        // common case, so they are looked up first.
+        if let Some(spec) = GateSpec::lookup(name) {
+            return self.gate_application(spec, name, tok);
+        }
+        match name {
             "include" => {
                 // include "<file>"; — the only include benchmarks use is
                 // qelib1.inc, whose gates are built in; contents ignored.
-                match self.peek().kind.clone() {
+                match self.tok.kind {
                     TokenKind::Str(_) => {
                         self.advance();
                     }
                     _ => return Err(self.error_here("expected file name string after `include`")),
                 }
-                self.expect(&TokenKind::Semicolon)?;
+                self.expect(TokenKind::Semicolon)?;
                 Ok(())
             }
             "qreg" => {
                 let (reg, _) = self.expect_ident()?;
-                self.expect(&TokenKind::LBracket)?;
-                let size = self.expect_uint()?;
-                self.expect(&TokenKind::RBracket)?;
-                self.expect(&TokenKind::Semicolon)?;
-                if self.qregs.contains_key(&reg) {
+                let size = self.register_size()?;
+                if self.qregs.contains_key(reg) {
                     return Err(QasmError::new(
                         tok.line,
                         tok.column,
                         format!("quantum register `{reg}` already declared"),
                     ));
                 }
-                self.qregs.insert(reg.clone(), (self.num_qubits, size));
+                let Some(total) = self.num_qubits.checked_add(size) else {
+                    return Err(QasmError::new(
+                        tok.line,
+                        tok.column,
+                        format!("quantum register `{reg}` takes the program past 2^32 - 1 qubits"),
+                    ));
+                };
+                self.qregs.insert(reg, (self.num_qubits, size));
                 self.qreg_order.push((reg, size));
-                self.num_qubits += size;
+                self.num_qubits = total;
                 Ok(())
             }
             "creg" => {
-                let (reg, _) = self.expect_ident()?;
-                self.expect(&TokenKind::LBracket)?;
-                let size = self.expect_uint()?;
-                self.expect(&TokenKind::RBracket)?;
-                self.expect(&TokenKind::Semicolon)?;
-                self.cregs.insert(reg, size);
+                // Classical registers only feed the skipped `measure`s.
+                self.expect_ident()?;
+                self.register_size()?;
                 Ok(())
             }
             "barrier" => {
@@ -235,13 +247,26 @@ impl Parser {
                 tok.column,
                 format!("`{name}` statements are not supported"),
             )),
-            _ => self.gate_application(&name, &tok),
+            _ => Err(QasmError::new(
+                tok.line,
+                tok.column,
+                format!("unknown gate `{name}`"),
+            )),
         }
     }
 
+    /// `[size];` closing a `qreg`/`creg` declaration.
+    fn register_size(&mut self) -> Result<u32, QasmError> {
+        self.expect(TokenKind::LBracket)?;
+        let size = self.expect_uint()?;
+        self.expect(TokenKind::RBracket)?;
+        self.expect(TokenKind::Semicolon)?;
+        Ok(size)
+    }
+
     fn skip_to_semicolon(&mut self) -> Result<(), QasmError> {
-        while self.peek().kind != TokenKind::Semicolon {
-            if self.peek().kind == TokenKind::Eof {
+        while self.tok.kind != TokenKind::Semicolon {
+            if self.tok.kind == TokenKind::Eof {
                 return Err(self.error_here("unexpected end of input; missing `;`"));
             }
             self.advance();
@@ -250,78 +275,96 @@ impl Parser {
         Ok(())
     }
 
-    fn gate_application(&mut self, name: &str, tok: &Token) -> Result<(), QasmError> {
-        let spec = GateSpec::lookup(name).ok_or_else(|| {
-            QasmError::new(tok.line, tok.column, format!("unknown gate `{name}`"))
-        })?;
-
-        // Optional parameter list.
-        let mut params: Vec<f64> = Vec::new();
-        if self.peek().kind == TokenKind::LParen {
+    fn gate_application(
+        &mut self,
+        spec: GateSpec,
+        name: &str,
+        tok: Token<'a>,
+    ) -> Result<(), QasmError> {
+        // Optional parameter list. Every expression is parsed (so syntax
+        // errors surface in source order) and counted; only the first
+        // `MAX_PARAMS` values are kept, enough for any supported gate.
+        let mut params = [0.0; MAX_PARAMS];
+        let mut num_params = 0;
+        if self.tok.kind == TokenKind::LParen {
             self.advance();
-            if self.peek().kind != TokenKind::RParen {
+            if self.tok.kind != TokenKind::RParen {
                 loop {
-                    params.push(self.expression()?);
-                    if self.peek().kind == TokenKind::Comma {
+                    let value = self.expression()?;
+                    if let Some(slot) = params.get_mut(num_params) {
+                        *slot = value;
+                    }
+                    num_params += 1;
+                    if self.tok.kind == TokenKind::Comma {
                         self.advance();
                     } else {
                         break;
                     }
                 }
             }
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
         }
-        if params.len() != spec.num_params {
+        if num_params != spec.num_params {
             return Err(QasmError::new(
                 tok.line,
                 tok.column,
                 format!(
-                    "gate `{name}` expects {} parameter(s), got {}",
-                    spec.num_params,
-                    params.len()
+                    "gate `{name}` expects {} parameter(s), got {num_params}",
+                    spec.num_params
                 ),
             ));
         }
 
-        // Argument list.
-        let mut args: Vec<Arg> = Vec::new();
+        // Argument list, bounded the same way.
+        let mut args = [Arg::Register(0, 0); MAX_ARGS];
+        let mut num_args = 0;
         loop {
-            args.push(self.argument()?);
-            if self.peek().kind == TokenKind::Comma {
+            let arg = self.argument()?;
+            if let Some(slot) = args.get_mut(num_args) {
+                *slot = arg;
+            }
+            num_args += 1;
+            if self.tok.kind == TokenKind::Comma {
                 self.advance();
             } else {
                 break;
             }
         }
-        self.expect(&TokenKind::Semicolon)?;
-        if args.len() != spec.num_qubits {
+        self.expect(TokenKind::Semicolon)?;
+        if num_args != spec.num_qubits {
             return Err(QasmError::new(
                 tok.line,
                 tok.column,
                 format!(
-                    "gate `{name}` expects {} qubit argument(s), got {}",
-                    spec.num_qubits,
-                    args.len()
+                    "gate `{name}` expects {} qubit argument(s), got {num_args}",
+                    spec.num_qubits
                 ),
             ));
         }
 
-        self.emit(&spec, &params, &args, tok)
+        self.emit(spec, &params[..num_params], &args[..num_args], tok)
     }
 
     fn argument(&mut self) -> Result<Arg, QasmError> {
         let (reg, tok) = self.expect_ident()?;
-        let &(offset, size) = self.qregs.get(&reg).ok_or_else(|| {
-            QasmError::new(
-                tok.line,
-                tok.column,
-                format!("undeclared quantum register `{reg}`"),
-            )
-        })?;
-        if self.peek().kind == TokenKind::LBracket {
+        let (offset, size) = match self.last_qreg {
+            Some((last, range)) if last == reg => range,
+            _ => {
+                let &range = self.qregs.get(reg).ok_or_else(|| {
+                    QasmError::new(
+                        tok.line,
+                        tok.column,
+                        format!("undeclared quantum register `{reg}`"),
+                    )
+                })?;
+                self.last_qreg = Some((reg, range));
+                range
+            }
+        };
+        if self.tok.kind == TokenKind::LBracket {
             self.advance();
             let index = self.expect_uint()?;
-            self.expect(&TokenKind::RBracket)?;
+            self.expect(TokenKind::RBracket)?;
             if index >= size {
                 return Err(QasmError::new(
                     tok.line,
@@ -337,43 +380,38 @@ impl Parser {
 
     fn emit(
         &mut self,
-        spec: &GateSpec,
+        spec: GateSpec,
         params: &[f64],
         args: &[Arg],
-        tok: &Token,
+        tok: Token<'a>,
     ) -> Result<(), QasmError> {
-        match (spec.num_qubits, args) {
-            (1, [arg]) => {
-                let wires: Vec<Qubit> = match *arg {
-                    Arg::Single(q) => vec![q],
-                    Arg::Register(offset, size) => (offset..offset + size).map(Qubit).collect(),
-                };
-                for q in wires {
-                    self.gates.push(spec.build_one(q, params));
+        match *args {
+            [Arg::Single(q)] => self.gates.push(spec.build_one(q, params)),
+            [Arg::Register(offset, size)] => {
+                for q in offset..offset + size {
+                    self.gates.push(spec.build_one(Qubit(q), params));
                 }
-                Ok(())
             }
-            (2, [a, b]) => {
-                let pairs: Vec<(Qubit, Qubit)> = match (*a, *b) {
-                    (Arg::Single(qa), Arg::Single(qb)) => vec![(qa, qb)],
-                    (Arg::Register(oa, sa), Arg::Register(ob, sb)) => {
-                        if sa != sb {
-                            return Err(QasmError::new(
-                                tok.line,
-                                tok.column,
-                                format!("register size mismatch in broadcast: {sa} vs {sb}"),
-                            ));
-                        }
-                        (0..sa).map(|i| (Qubit(oa + i), Qubit(ob + i))).collect()
-                    }
-                    (Arg::Single(qa), Arg::Register(ob, sb)) => {
-                        (0..sb).map(|i| (qa, Qubit(ob + i))).collect()
-                    }
-                    (Arg::Register(oa, sa), Arg::Single(qb)) => {
-                        (0..sa).map(|i| (Qubit(oa + i), qb)).collect()
-                    }
+            [a, b] => {
+                // A register operand broadcasts over its wires; a single
+                // wire pairs with each of them.
+                let wires = |arg: Arg, i: u32| match arg {
+                    Arg::Single(q) => q,
+                    Arg::Register(offset, _) => Qubit(offset + i),
                 };
-                for (qa, qb) in pairs {
+                let len = match (a, b) {
+                    (Arg::Single(_), Arg::Single(_)) => 1,
+                    (Arg::Register(_, sa), Arg::Register(_, sb)) if sa != sb => {
+                        return Err(QasmError::new(
+                            tok.line,
+                            tok.column,
+                            format!("register size mismatch in broadcast: {sa} vs {sb}"),
+                        ));
+                    }
+                    (Arg::Register(_, size), _) | (_, Arg::Register(_, size)) => size,
+                };
+                for i in 0..len {
+                    let (qa, qb) = (wires(a, i), wires(b, i));
                     if qa == qb {
                         return Err(QasmError::new(
                             tok.line,
@@ -383,17 +421,17 @@ impl Parser {
                     }
                     self.gates.push(spec.build_two(qa, qb, params));
                 }
-                Ok(())
             }
             _ => unreachable!("gate arity validated before emit"),
         }
+        Ok(())
     }
 
     /// expr := term (('+'|'-') term)*
     fn expression(&mut self) -> Result<f64, QasmError> {
         let mut value = self.term()?;
         loop {
-            match self.peek().kind {
+            match self.tok.kind {
                 TokenKind::Plus => {
                     self.advance();
                     value += self.term()?;
@@ -411,7 +449,7 @@ impl Parser {
     fn term(&mut self) -> Result<f64, QasmError> {
         let mut value = self.factor()?;
         loop {
-            match self.peek().kind {
+            match self.tok.kind {
                 TokenKind::Star => {
                     self.advance();
                     value *= self.factor()?;
@@ -427,7 +465,7 @@ impl Parser {
 
     /// factor := ('-'|'+') factor | number | 'pi' | '(' expr ')'
     fn factor(&mut self) -> Result<f64, QasmError> {
-        match self.peek().kind.clone() {
+        match self.tok.kind {
             TokenKind::Minus => {
                 self.advance();
                 Ok(-self.factor()?)
@@ -440,14 +478,14 @@ impl Parser {
                 self.advance();
                 Ok(v)
             }
-            TokenKind::Ident(name) if name == "pi" => {
+            TokenKind::Ident("pi") => {
                 self.advance();
                 Ok(PI)
             }
             TokenKind::LParen => {
                 self.advance();
                 let v = self.expression()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 Ok(v)
             }
             other => Err(self.error_here(format!(
@@ -459,12 +497,14 @@ impl Parser {
 }
 
 /// How a QASM mnemonic maps into the IR.
+#[derive(Clone, Copy)]
 struct GateSpec {
     num_params: usize,
     num_qubits: usize,
     kind: SpecKind,
 }
 
+#[derive(Clone, Copy)]
 enum SpecKind {
     One(OneQubitKind),
     /// `u2(φ, λ) = U(π/2, φ, λ)`
@@ -508,15 +548,15 @@ impl GateSpec {
     }
 
     fn build_one(&self, q: Qubit, params: &[f64]) -> Gate {
-        match &self.kind {
+        match self.kind {
             SpecKind::One(kind) => {
-                let p = match params.len() {
-                    0 => Params::EMPTY,
-                    1 => Params::one(params[0]),
-                    3 => Params::three(params[0], params[1], params[2]),
+                let p = match *params {
+                    [] => Params::EMPTY,
+                    [a] => Params::one(a),
+                    [a, b, c] => Params::three(a, b, c),
                     _ => unreachable!("validated arity"),
                 };
-                Gate::one(*kind, q, p)
+                Gate::one(kind, q, p)
             }
             SpecKind::U2 => Gate::one(
                 OneQubitKind::U,
@@ -528,14 +568,14 @@ impl GateSpec {
     }
 
     fn build_two(&self, a: Qubit, b: Qubit, params: &[f64]) -> Gate {
-        match &self.kind {
+        match self.kind {
             SpecKind::Two(kind) => {
-                let p = match params.len() {
-                    0 => Params::EMPTY,
-                    1 => Params::one(params[0]),
+                let p = match *params {
+                    [] => Params::EMPTY,
+                    [theta] => Params::one(theta),
                     _ => unreachable!("validated arity"),
                 };
-                Gate::two(*kind, a, b, p)
+                Gate::two(kind, a, b, p)
             }
             _ => unreachable!("one-qubit spec used as two-qubit"),
         }
@@ -708,6 +748,102 @@ mod tests {
     fn comments_anywhere() {
         let c = parse_body("qreg q[1]; // my register\n// a comment line\nh q[0];\n");
         assert_eq!(c.num_gates(), 1);
+    }
+
+    /// `(line, column, message)` for malformed programs, as the parser
+    /// reported them before its tokens borrowed from the source. `true`
+    /// prefixes the standard header. Lexical errors win over earlier
+    /// syntax errors (`foo q[0]; @`), a non-ASCII byte reads as Latin-1,
+    /// and a trailing comment does not move the end-of-input column.
+    #[test]
+    fn pinned_error_positions_and_messages() {
+        #[rustfmt::skip]
+        let cases: &[(bool, &str, u32, u32, &str)] = &[
+            (true, "qreg q[1];\nfoo q[0];\n", 4, 1, "unknown gate `foo`"),
+            (true, "qreg q[1];\nrz(1,2,3,4) q[0];\n", 4, 1, "gate `rz` expects 1 parameter(s), got 4"),
+            (true, "qreg q[3];\ncx q[0],q[1],q[2];\n", 4, 1, "gate `cx` expects 2 qubit argument(s), got 3"),
+            (true, "qreg q[2];\ncx q[0], q[1], r[0];\n", 4, 16, "undeclared quantum register `r`"),
+            (true, "qreg q[1];\nh r[0];\n", 4, 3, "undeclared quantum register `r`"),
+            (true, "qreg q[2];\nx q[5];\n", 4, 3, "index 5 out of range for `q[2]`"),
+            (true, "qreg q[2];\nx q[1.5];\n", 4, 5, "expected a non-negative integer"),
+            (false, "OPENQASM 2.0;\ninclude \"qelib1.inc;\n", 2, 9, "unterminated string literal"),
+            (true, "qreg q[1];\nh q[0]; @\n", 4, 9, "unexpected character `@`"),
+            (true, "qreg q[1];\nfoo q[0]; @\n", 4, 11, "unexpected character `@`"),
+            (true, "qreg q[1];\nh q[0]; é\n", 4, 9, "unexpected character `Ã`"),
+            (false, "qreg q[1];\nh q[0];\n", 1, 1, "expected `OPENQASM`, found `qreg`"),
+            (false, "OPENQASM 3.0;\n", 1, 10, "only OPENQASM 2.0 is supported"),
+            (false, "OPENQASM 2.0\nqreg q[1];\n", 2, 1, "expected `;`, found `qreg`"),
+            (false, "", 1, 1, "expected `OPENQASM`, found end of input"),
+            (true, "qreg a[2];\nqreg b[3];\ncx a, b;\n", 5, 1, "register size mismatch in broadcast: 2 vs 3"),
+            (true, "qreg q[2];\ncx q[1], q[1];\n", 4, 1, "two-qubit gate applied to the same wire twice"),
+            (true, "qreg q[3];\ncx q[0], q;\n", 4, 1, "two-qubit gate applied to the same wire twice"),
+            (true, "gate foo a { x a; }\n", 3, 1, "custom gate definitions are not supported; inline the body"),
+            (true, "qreg q[1];\ncreg c[1];\nif (c==1) x q[0];\n", 5, 6, "unexpected character `=`"),
+            (true, "qreg q[1];\nreset q[0];\n", 4, 1, "`reset` statements are not supported"),
+            (true, "qreg q[2];\nqreg q[3];\n", 4, 1, "quantum register `q` already declared"),
+            (true, "qreg q[1];\nh q[0]", 4, 7, "expected `;`, found end of input"),
+            (true, "qreg q[1];\nbarrier q", 4, 10, "unexpected end of input; missing `;`"),
+            (true, "qreg q[1];\nrz(*) q[0];\n", 4, 4, "expected a parameter expression, found `*`"),
+            (true, "qreg q[1];\nrz((pi) q[0];\n", 4, 9, "expected `)`, found `q`"),
+            (true, "qreg q[1];\nrz(1e) q[0];\n", 4, 4, "invalid number literal `1e`"),
+            (true, "qreg q[1];\nrz(.) q[0];\n", 4, 4, "invalid number literal `.`"),
+            (true, "qreg q[-1];\n", 3, 8, "expected a non-negative integer"),
+            (true, "qreg q[4294967296];\n", 3, 8, "expected a non-negative integer"),
+            (true, "qreg q[1];\nx q[99999999999999999999];\n", 4, 5, "expected a non-negative integer"),
+            (false, "OPENQASM 2.0;\ninclude qelib1;\n", 2, 9, "expected file name string after `include`"),
+            (true, "3;\n", 3, 1, "expected a statement, found number `3`"),
+            (true, "qreg q[1];\nrz(1,2,3,4,) q[0];\n", 4, 12, "expected a parameter expression, found `)`"),
+            (true, "qreg q[1];\nu2(0.1) q[0];\n", 4, 1, "gate `u2` expects 2 parameter(s), got 1"),
+            (true, "OPENQASM 2.0;\n", 3, 1, "expected a statement, found `OPENQASM`"),
+            (false, "OPENQASM 2.0;\ninclude \"qelib1.inc\"", 2, 21, "expected `;`, found end of input"),
+            (true, "qreg q[1];\nh q[0];\ninclude \"a\nb\";\n", 5, 9, "unterminated string literal"),
+            (true, "qreg q[1];\nh q[0] // trailing\n;\nrx(pi/0) q[0];\nh q[;\n", 7, 5, "expected a non-negative integer"),
+            (true, "qreg q;\n", 3, 7, "expected `[`, found `;`"),
+            (true, "qreg q[1];\nh q[0], q[0];\n", 4, 1, "gate `h` expects 1 qubit argument(s), got 2"),
+            (true, "qreg q[1];\nh q[0] q[0];\n", 4, 8, "expected `;`, found `q`"),
+            (true, "qreg q[1];\nrz q[0];\n", 4, 1, "gate `rz` expects 1 parameter(s), got 0"),
+            (true, "qreg q[1];\nrz() q[0];\n", 4, 1, "gate `rz` expects 1 parameter(s), got 0"),
+            (true, "qreg q[1];\nh(pi) q[0];\n", 4, 1, "gate `h` expects 0 parameter(s), got 1"),
+            (true, "qreg q[2];\nqreg r[3];\ncx q, r;\n", 5, 1, "register size mismatch in broadcast: 2 vs 3"),
+            (true, "qreg q[1];\nmeasure q[0] -> c[0]\n", 5, 1, "unexpected end of input; missing `;`"),
+            (true, "qreg q[1];\nrz(pi pi) q[0];\n", 4, 7, "expected `)`, found `pi`"),
+            (true, "qreg q[1];\ncreg c[1];\nif (c) x q[0];\n", 5, 1, "`if` statements are not supported"),
+            (true, "qreg q[1];\nopaque g a;\n", 4, 1, "custom gate definitions are not supported; inline the body"),
+        ];
+        for &(with_header, body, line, column, message) in cases {
+            let source = if with_header {
+                format!("{HEADER}{body}")
+            } else {
+                body.to_string()
+            };
+            let err = parse(&source).expect_err(&source);
+            assert_eq!(
+                (err.line(), err.column(), err.message()),
+                (line, column, message),
+                "{source:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn integral_float_index_and_size_are_accepted() {
+        let c = parse_body("qreg q[2];\nx q[1.0];\nqreg r[2.0];\ncx q[0], r[1];\n");
+        assert_eq!(c.num_qubits(), 4);
+        assert_eq!(c.gates()[0], Gate::x(Qubit(1)));
+        assert_eq!(c.gates()[1], Gate::cx(Qubit(0), Qubit(3)));
+    }
+
+    #[test]
+    fn unary_sign_chains_fold() {
+        let c = parse_body("qreg q[1];\nrz(--+-pi) q[0];\n");
+        assert_eq!(c.gates()[0].params().as_slice(), &[-PI]);
+    }
+
+    #[test]
+    fn register_overflow_is_an_error() {
+        let err = parse(&format!("{HEADER}qreg a[4294967295];\nqreg b[1];\n")).unwrap_err();
+        assert_eq!((err.line(), err.column()), (4, 1));
+        assert!(err.message().contains("2^32"), "{err}");
     }
 
     #[test]

@@ -8,14 +8,13 @@
 //! stream into the buffer chunk-by-chunk across many readiness events
 //! instead of blocking a thread inside one `read` loop. Bytes a client
 //! pipelined past one request's body stay buffered and feed the next
-//! request. The blocking [`read_request`]/[`read_request_buffered`]
-//! helpers wrap the same parser for unit tests and simple callers.
+//! request.
 //!
 //! Deliberate non-features: chunked transfer encoding (rejected with
 //! `411`), HTTP/2. `Expect: 100-continue` *is* honored because `curl`
 //! sends it for bodies above its threshold.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use sabre_json::JsonValue;
 
@@ -343,80 +342,6 @@ fn parse_head(head: &[u8], max_body: usize) -> Result<(Request, usize), HttpErro
     Ok((request, content_length))
 }
 
-/// Reads one complete request from `stream`, discarding any bytes the
-/// client sent past the request's body (single-request connections).
-///
-/// Honors `Expect: 100-continue` (hence the `Write` bound). The body is
-/// rejected before it is read when `Content-Length` exceeds `max_body`.
-///
-/// # Errors
-///
-/// [`HttpError`] describing the malformation or I/O failure.
-pub fn read_request<S: Read + Write>(
-    stream: &mut S,
-    max_body: usize,
-) -> Result<Request, HttpError> {
-    let mut carry = Vec::new();
-    read_request_buffered(stream, &mut carry, max_body)
-}
-
-/// [`read_request`] for keep-alive connections: `carry` holds bytes read
-/// past the previous request's body (HTTP/1.1 pipelining) and is
-/// refilled with whatever this read pulls past *its* body, so a
-/// connection loop can parse back-to-back requests without losing data.
-///
-/// Blocking wrapper over [`RequestParser`] — the reactor drives the
-/// parser directly; this exists for unit tests and simple clients.
-///
-/// # Errors
-///
-/// [`HttpError`] describing the malformation or I/O failure.
-pub fn read_request_buffered<S: Read + Write>(
-    stream: &mut S,
-    carry: &mut Vec<u8>,
-    max_body: usize,
-) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new(max_body);
-    parser.feed(carry);
-    carry.clear();
-    loop {
-        match parser.advance()? {
-            Parsed::Request(request) => {
-                *carry = std::mem::take(&mut parser.buf);
-                return Ok(request);
-            }
-            Parsed::Continue => {
-                stream
-                    .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
-                    .map_err(HttpError::Io)?;
-            }
-            Parsed::Incomplete => {
-                let mut chunk = [0u8; 4096];
-                let n = stream.read(&mut chunk).map_err(HttpError::Io)?;
-                if n == 0 {
-                    return Err(if parser.is_mid_request() {
-                        match parser.state {
-                            ParseState::Body { .. } => {
-                                HttpError::BadRequest("connection closed mid-body".into())
-                            }
-                            _ => HttpError::Io(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "connection closed before the header terminator",
-                            )),
-                        }
-                    } else {
-                        HttpError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed before the header terminator",
-                        ))
-                    });
-                }
-                parser.feed(&chunk[..n]);
-            }
-        }
-    }
-}
-
 fn find_terminator(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -538,42 +463,47 @@ fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// Read half feeds scripted input; write half records interim bytes.
-    struct Duplex {
-        input: io::Cursor<Vec<u8>>,
-        written: Vec<u8>,
+    /// Feeds `raw` in one piece and advances past any `100 Continue`.
+    fn parse_one(raw: &[u8], max_body: usize) -> Result<Parsed, HttpError> {
+        let mut parser = RequestParser::new(max_body);
+        parser.feed(raw);
+        match parser.advance()? {
+            Parsed::Continue => parser.advance(),
+            other => Ok(other),
+        }
     }
 
-    impl Duplex {
-        fn new(input: &[u8]) -> Self {
-            Duplex {
-                input: io::Cursor::new(input.to_vec()),
-                written: Vec::new(),
+    fn request(raw: &[u8]) -> Request {
+        match parse_one(raw, 1024) {
+            Ok(Parsed::Request(r)) => r,
+            other => panic!("expected a request from {raw:?}, got {other:?}"),
+        }
+    }
+
+    /// Every event `advance` yields after each chunk, `Incomplete` aside.
+    fn events(parser: &mut RequestParser, chunks: &[&[u8]]) -> Vec<String> {
+        let mut out = Vec::new();
+        for chunk in chunks {
+            parser.feed(chunk);
+            loop {
+                match parser.advance() {
+                    Ok(Parsed::Incomplete) => break,
+                    Ok(event) => out.push(format!("{event:?}")),
+                    Err(e) => {
+                        out.push(format!("error: {e:?}"));
+                        break;
+                    }
+                }
             }
         }
-    }
-
-    impl Read for Duplex {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.input.read(buf)
-        }
-    }
-
-    impl Write for Duplex {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.written.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
+        out
     }
 
     #[test]
     fn parses_post_with_body() {
-        let raw = b"POST /route?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody";
-        let req = read_request(&mut Duplex::new(raw), 1024).unwrap();
+        let req = request(b"POST /route?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/route");
         assert_eq!(req.query, "x=1");
@@ -585,8 +515,7 @@ mod tests {
 
     #[test]
     fn query_params_and_flags() {
-        let req = |raw: &[u8]| read_request(&mut Duplex::new(raw), 1024).unwrap();
-        let r = req(b"GET /route?profile=true&limit=5&bare HTTP/1.1\r\n\r\n");
+        let r = request(b"GET /route?profile=true&limit=5&bare HTTP/1.1\r\n\r\n");
         assert_eq!(r.query_param("profile"), Some("true"));
         assert_eq!(r.query_param("limit"), Some("5"));
         assert_eq!(r.query_param("bare"), Some(""));
@@ -595,18 +524,17 @@ mod tests {
         assert!(r.query_flag("bare"));
         assert!(!r.query_flag("limit"), "limit=5 is not a boolean flag");
         assert!(!r.query_flag("missing"));
-        let plain = req(b"GET /route HTTP/1.1\r\n\r\n");
+        let plain = request(b"GET /route HTTP/1.1\r\n\r\n");
         assert_eq!(plain.query, "");
         assert!(!plain.query_flag("profile"));
-        assert!(req(b"GET /r?profile=1 HTTP/1.1\r\n\r\n").query_flag("profile"));
-        assert!(req(b"GET /r?profile=TRUE HTTP/1.1\r\n\r\n").query_flag("profile"));
-        assert!(!req(b"GET /r?profile=false HTTP/1.1\r\n\r\n").query_flag("profile"));
+        assert!(request(b"GET /r?profile=1 HTTP/1.1\r\n\r\n").query_flag("profile"));
+        assert!(request(b"GET /r?profile=TRUE HTTP/1.1\r\n\r\n").query_flag("profile"));
+        assert!(!request(b"GET /r?profile=false HTTP/1.1\r\n\r\n").query_flag("profile"));
     }
 
     #[test]
     fn parses_get_without_body() {
-        let raw = b"GET /healthz HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut Duplex::new(raw), 1024).unwrap();
+        let req = request(b"GET /healthz HTTP/1.1\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
     }
@@ -639,6 +567,45 @@ mod tests {
         assert_eq!(request.body, b"hello");
         assert!(!parser.is_mid_request());
         assert_eq!(parser.buffered_len(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any split of a byte stream (pipelined requests, an `Expect`
+        /// head, arbitrary body bytes) yields the same events as feeding
+        /// it whole.
+        #[test]
+        fn chunked_feed_matches_one_shot_feed(
+            body in proptest::collection::vec(0u8..=255, 0..64),
+            cuts in proptest::collection::vec(0usize..400, 0..12),
+            expect in any::<bool>(),
+            pipelined in any::<bool>(),
+        ) {
+            let mut raw = format!(
+                "POST /route?profile=true HTTP/1.1\r\nHost: h\r\n{}Content-Length: {}\r\n\r\n",
+                if expect { "Expect: 100-continue\r\n" } else { "" },
+                body.len()
+            )
+            .into_bytes();
+            raw.extend_from_slice(&body);
+            if pipelined {
+                raw.extend_from_slice(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
+            }
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (raw.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut start = 0;
+            for cut in cuts.into_iter().chain([raw.len()]) {
+                chunks.push(&raw[start..cut]);
+                start = cut;
+            }
+            let whole = events(&mut RequestParser::new(1024), &[&raw]);
+            prop_assert_eq!(whole.len(), 1 + usize::from(expect) + usize::from(pipelined));
+            let mut parser = RequestParser::new(1024);
+            prop_assert_eq!(events(&mut parser, &chunks), whole);
+            prop_assert!(!parser.is_mid_request());
+        }
     }
 
     #[test]
@@ -687,17 +654,21 @@ mod tests {
 
     #[test]
     fn honors_expect_100_continue() {
-        let raw = b"POST /route HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nok";
-        let mut duplex = Duplex::new(raw);
-        let req = read_request(&mut duplex, 1024).unwrap();
-        assert_eq!(req.body, b"ok");
-        assert_eq!(duplex.written, b"HTTP/1.1 100 Continue\r\n\r\n");
+        // Head and body in one feed: the parser still signals `Continue`
+        // before the request, so the reactor writes the interim line.
+        let mut parser = RequestParser::new(1024);
+        parser.feed(b"POST /route HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nok");
+        assert!(matches!(parser.advance().unwrap(), Parsed::Continue));
+        match parser.advance().unwrap() {
+            Parsed::Request(r) => assert_eq!(r.body, b"ok"),
+            other => panic!("expected a request, got {other:?}"),
+        }
     }
 
     #[test]
     fn rejects_oversized_bodies_without_reading_them() {
         let raw = b"POST /route HTTP/1.1\r\nContent-Length: 999\r\n\r\n";
-        match read_request(&mut Duplex::new(raw), 10) {
+        match parse_one(raw, 10) {
             Err(HttpError::PayloadTooLarge { limit: 10 }) => {}
             other => panic!("expected PayloadTooLarge, got {other:?}"),
         }
@@ -707,7 +678,7 @@ mod tests {
     fn rejects_chunked_bodies() {
         let raw = b"POST /route HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
         assert!(matches!(
-            read_request(&mut Duplex::new(raw), 1024),
+            parse_one(raw, 1024),
             Err(HttpError::LengthRequired)
         ));
     }
@@ -721,45 +692,40 @@ mod tests {
             b"GET /x HTTP/1.1\r\nno-colon-header\r\n\r\n",
         ] {
             assert!(
-                matches!(
-                    read_request(&mut Duplex::new(raw), 1024),
-                    Err(HttpError::BadRequest(_))
-                ),
+                matches!(parse_one(raw, 1024), Err(HttpError::BadRequest(_))),
                 "should reject {raw:?}"
             );
         }
     }
 
     #[test]
-    fn pipelined_followup_request_is_discarded() {
-        // HTTP/1.1 permits pipelining; a single-request read answers the
-        // first request and drops the buffered second one.
-        let raw =
-            b"POST /route HTTP/1.1\r\nContent-Length: 4\r\n\r\nbodyGET /healthz HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut Duplex::new(raw), 1024).unwrap();
-        assert_eq!(req.path, "/route");
-        assert_eq!(req.body, b"body");
-    }
-
-    #[test]
     fn buffered_reads_carry_pipelined_requests_forward() {
-        let raw =
-            b"POST /route HTTP/1.1\r\nContent-Length: 4\r\n\r\nbodyGET /healthz HTTP/1.1\r\n\r\n";
-        let mut duplex = Duplex::new(raw);
-        let mut carry = Vec::new();
-        let first = read_request_buffered(&mut duplex, &mut carry, 1024).unwrap();
+        let mut parser = RequestParser::new(1024);
+        parser.feed(
+            b"POST /route HTTP/1.1\r\nContent-Length: 4\r\n\r\nbodyGET /healthz HTTP/1.1\r\n\r\n",
+        );
+        let first = match parser.advance().unwrap() {
+            Parsed::Request(r) => r,
+            other => panic!("expected a request, got {other:?}"),
+        };
         assert_eq!(first.path, "/route");
         assert_eq!(first.body, b"body");
-        assert!(carry.starts_with(b"GET /healthz"));
-        let second = read_request_buffered(&mut duplex, &mut carry, 1024).unwrap();
+        assert_eq!(
+            parser.buffered_len(),
+            b"GET /healthz HTTP/1.1\r\n\r\n".len()
+        );
+        let second = match parser.advance().unwrap() {
+            Parsed::Request(r) => r,
+            other => panic!("expected a request, got {other:?}"),
+        };
         assert_eq!(second.path, "/healthz");
         assert!(second.body.is_empty());
-        assert!(carry.is_empty());
+        assert_eq!(parser.buffered_len(), 0);
     }
 
     #[test]
     fn keep_alive_negotiation_follows_version_and_header() {
-        let req = |raw: &[u8]| read_request(&mut Duplex::new(raw), 1024).unwrap();
+        let req = request;
         assert!(req(b"GET /healthz HTTP/1.1\r\n\r\n").wants_keep_alive());
         assert!(!req(b"GET /healthz HTTP/1.0\r\n\r\n").wants_keep_alive());
         assert!(!req(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").wants_keep_alive());
@@ -785,9 +751,14 @@ mod tests {
     }
 
     #[test]
-    fn truncated_body_is_an_error() {
-        let raw = b"POST /route HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort";
-        assert!(read_request(&mut Duplex::new(raw), 1024).is_err());
+    fn truncated_body_stays_incomplete() {
+        // A body short of its Content-Length is never a request: the
+        // parser stays mid-request, so the reactor's read deadline (or
+        // the client's EOF) ends the connection.
+        let mut parser = RequestParser::new(1024);
+        parser.feed(b"POST /route HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort");
+        assert!(matches!(parser.advance().unwrap(), Parsed::Incomplete));
+        assert!(parser.is_mid_request());
     }
 
     #[test]

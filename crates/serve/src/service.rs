@@ -965,7 +965,8 @@ fn admit_job(
                 // Deliberately not record_routing(): a rebind runs zero
                 // search steps, and folding its wall time into the
                 // ns-per-step price would corrupt the admission model.
-                return Outcome::Respond(route_response(
+                let serialize_span = Span::now();
+                let response = route_response(
                     device_id,
                     noise.is_some(),
                     config.seed,
@@ -973,7 +974,9 @@ fn admit_job(
                     &result,
                     &quality,
                     *include_physical,
-                ));
+                );
+                ctx.phases.push(("serialize", serialize_span.elapsed_ns()));
+                return Outcome::Respond(response);
             }
             ctx.phases.push(("plan_cache", lookup_ns));
         }

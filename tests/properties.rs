@@ -324,3 +324,112 @@ fn empty_circuits_route_everywhere() {
         assert_eq!(result.added_gates(), 0);
     }
 }
+
+/// QASM and JSON fragments for the hostile-input properties: arbitrary
+/// bytes alone rarely get past the first token of either grammar, so
+/// each input splices fragments between random bytes.
+const FRAGMENTS: &[&str] = &[
+    "OPENQASM 2.0;",
+    "include \"qelib1.inc\";",
+    "qreg q[3];",
+    "creg c[3];",
+    "qreg r[4294967295];",
+    "h q[0];",
+    "cx q[0], q[1];",
+    "rz(-pi/2) q;",
+    "u3(1e-3, .5, 2) q[2];",
+    "cx q, q;",
+    "measure q -> c;",
+    "barrier q;",
+    "q[1.5]",
+    "(",
+    ")",
+    "[",
+    "]",
+    ",",
+    ";",
+    "//",
+    "\n",
+    " ",
+    "\"",
+    "\\",
+    "\\u",
+    "{\"a\": [1, -2.5e3, true, null, \"x\\n\"]}",
+    "{",
+    "}",
+    ":",
+    "1e999",
+    "-0",
+    "é",
+];
+
+/// Random bytes with fragments spliced in, read as (lossy) UTF-8.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0..FRAGMENTS.len() * 2, 0u8..=255), 0..40).prop_map(|parts| {
+        let mut bytes = Vec::new();
+        for (pick, byte) in parts {
+            match FRAGMENTS.get(pick) {
+                Some(fragment) => bytes.extend_from_slice(fragment.as_bytes()),
+                None => bytes.push(byte),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    })
+}
+
+/// Strings weighted toward what a JSON writer must escape: controls,
+/// quotes and backslashes, plus ASCII, Latin-1, BMP and astral chars.
+fn arb_json_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u8..6, 0u32..0x11_0000), 0..40).prop_map(|chars| {
+        chars
+            .into_iter()
+            .filter_map(|(kind, v)| match kind {
+                0 => char::from_u32(v % 0x20),
+                1 => Some(['"', '\\', '/'][v as usize % 3]),
+                2 => char::from_u32(0x20 + v % 0x5f),
+                3 => char::from_u32(0x7f + v % 0x81),
+                4 => char::from_u32(v),
+                _ => char::from_u32(0x1_0000 + v % 0x10_0000),
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The QASM parser never panics on hostile text, and whatever it
+    /// accepts with finite angles survives a write/parse round trip.
+    #[test]
+    fn qasm_parse_never_panics(text in arb_text()) {
+        for source in [text.clone(), format!("OPENQASM 2.0;\nqreg q[3];\n{text}")] {
+            if let Ok(circuit) = parse(&source) {
+                let finite = circuit
+                    .iter()
+                    .all(|g| g.params().as_slice().iter().all(|v| v.is_finite()));
+                if finite {
+                    prop_assert_eq!(parse(&to_qasm(&circuit)).unwrap().gates(), circuit.gates());
+                }
+            }
+        }
+    }
+
+    /// The JSON parser never panics on hostile text.
+    #[test]
+    fn json_parse_never_panics(text in arb_text()) {
+        if let Ok(value) = sabre_json::JsonValue::parse(&text) {
+            prop_assert!(sabre_json::JsonValue::parse(&value.to_compact()).is_ok());
+        }
+    }
+
+    /// Every string, controls and non-ASCII included, survives the
+    /// compact writer and the parser unchanged.
+    #[test]
+    fn json_string_round_trips(s in arb_json_string()) {
+        let text = sabre_json::JsonValue::from(s.as_str()).to_compact();
+        prop_assert_eq!(
+            sabre_json::JsonValue::parse(&text).unwrap(),
+            sabre_json::JsonValue::Str(s)
+        );
+    }
+}
