@@ -6,9 +6,9 @@
 //!
 //! Both engines emit bit-identical routings (`tests/hot_loop_equivalence.rs`),
 //! so they execute the same number of search steps on the same workload —
-//! wall-clock ratio **is** the per-step ratio. The tentpole claim is ≥3×
-//! on grid10x10 with deep synthetic circuits; the first `BENCH_routing.json`
-//! trajectory point records the measured numbers.
+//! wall-clock ratio **is** the per-step ratio. The claim is ≥3× on
+//! grid10x10 with deep synthetic circuits; README §Performance records
+//! the measured numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -1,287 +1,96 @@
-//! **Quality-trajectory harness**: routes a fixed seeded corpus and
-//! maintains a machine-readable `BENCH_quality.json` — the *plan quality*
-//! sibling of `perf_json`'s throughput trajectory. Where `perf_json`
-//! answers "did routing get slower?", this binary answers "did routing
-//! get *worse*?": per-scenario SWAP counts, depth overhead, and estimated
-//! log-success-probability under a calibrated [`NoiseModel`], one point
-//! per git revision.
+//! **The plan-quality gate.** Routes [`sabre_bench::corpus`] — six
+//! pinned synthetic and QASM scenarios, the paper's Table II (26 rows on
+//! Tokyo) and its Figure 8 decay sweep (9 circuits × 7 values of δ) —
+//! verifies every routing, prints one row per scenario to stderr, and
+//! checks the figures against the committed `BENCH_quality.json` through
+//! [`sabre_bench::quality_gate::check`]. Any failure exits with status 1.
 //!
-//! The corpus mixes seeded synthetic circuits (deep shapes on tokyo20,
-//! grid10x10, and a heavy-hex lattice — seeds derive from the scenario
-//! label via [`Fingerprinter`], so adding scenarios never shifts existing
-//! ones) with the hand-written OpenQASM files in `corpus/quality/`
-//! loaded through [`sabre_qasm::load_dir`] and routed on tokyo20.
-//! Routing is deterministic for a fixed seed, so every reported number is
-//! machine-stable; there are no wall-clock figures here at all.
+//! The stderr table reproduces Table II: `g_la`/`g_op` measured next to
+//! the paper's SABRE `g_la`/`g_op` and BKA `g_add`. Figure 8's trade-off
+//! is the `g_op`/`d_out` pair across one circuit's δ rows.
 //!
-//! `--check` turns the binary into the CI regression gate: measured swap
-//! counts are compared against the committed
-//! `crates/bench/quality_baseline.json` through
-//! [`sabre_bench::quality_gate::check_swaps`], and any scenario beyond
-//! the ~10% tolerance fails the process. `--write-baseline` regenerates
-//! that file after a deliberate heuristic change.
+//! `--write-baseline` rewrites `BENCH_quality.json` from this run instead
+//! of checking it, after a deliberate heuristic change.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p sabre_bench --release --bin quality_json -- \
-//!     [--out BENCH_quality.json] [--fresh] [--corpus DIR] \
-//!     [--check] [--write-baseline] [--baseline PATH]
+//! cargo run --release -p sabre_bench --bin quality_json [-- --write-baseline]
 //! ```
 
-use std::process::Command;
-
-use sabre::{PlanQuality, SabreConfig};
-use sabre_bench::quality_gate::{check_swaps, render_baseline, BASELINE_SCHEMA};
-use sabre_bench::{device_cache, verify};
-use sabre_benchgen::random;
-use sabre_circuit::fingerprint::Fingerprinter;
-use sabre_circuit::Circuit;
+use sabre_bench::quality_gate::{check, render_baseline, BASELINE_SCHEMA};
+use sabre_bench::{corpus, Case, Scenario};
 use sabre_json::JsonValue;
-use sabre_topology::noise::NoiseModel;
-use sabre_topology::{devices, CouplingGraph};
 
-/// Schema tag of the trajectory history file.
-const SCHEMA: &str = "sabre-quality-trajectory/v1";
+/// The committed baseline at the workspace root, anchored to the crate
+/// so the gate works from any working directory.
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quality.json");
 
-/// Default location of the committed baseline, anchored to the crate so
-/// the gate works from any working directory.
-const DEFAULT_BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/quality_baseline.json");
-
-/// Default location of the hand-written QASM corpus.
-const DEFAULT_CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/quality");
-
-/// One measured scenario.
-struct Entry {
-    scenario: String,
-    num_qubits: u32,
-    num_gates: usize,
-    quality: PlanQuality,
-}
-
-impl Entry {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("scenario", self.scenario.as_str().into()),
-            ("num_qubits", self.num_qubits.into()),
-            ("num_gates", self.num_gates.into()),
-            ("quality", self.quality.to_json()),
-        ])
-    }
-}
-
-/// The pinned synthetic corpus: `(device, graph, shape, qubits, gates)`.
-/// Deep shapes only — quality regressions show in long circuits, and the
-/// shallow end is already covered by the hand-written QASM files.
-fn synthetic_corpus() -> Vec<(&'static str, CouplingGraph, &'static str, u32, usize)> {
-    vec![
-        (
-            "tokyo20",
-            devices::ibm_q20_tokyo().graph().clone(),
-            "deep",
-            18,
-            2_000,
-        ),
-        (
-            "grid10x10",
-            devices::grid(10, 10).graph().clone(),
-            "deep",
-            80,
-            4_000,
-        ),
-        (
-            "heavyhex6x6",
-            devices::heavy_hex(6, 6).graph().clone(),
-            "deep",
-            30,
-            1_500,
-        ),
-    ]
-}
-
-/// Calibrated noise for a device: per-edge errors hashed from the edge
-/// list with a pinned seed, so fidelity estimates are deterministic and
-/// reflect that some couplers are better than others.
-fn noise_for(graph: &CouplingGraph) -> NoiseModel {
-    NoiseModel::calibrated(graph, 0.01, 4.0, 0x5ab3_e011)
-}
-
-/// Routes one circuit, verifies the routing, and scores it.
-fn score(scenario: String, graph: &CouplingGraph, circuit: &Circuit) -> Entry {
-    let router = device_cache()
-        .router(graph, SabreConfig::fast())
-        .expect("valid device and config");
-    let result = router.route(circuit).expect("circuit fits the device");
-    verify(circuit, &result.best, graph);
-    let noise = noise_for(graph);
-    let quality = PlanQuality::of_result(circuit, &result, Some(&noise));
-    Entry {
-        scenario,
-        num_qubits: circuit.num_qubits(),
-        num_gates: circuit.num_gates(),
-        quality,
-    }
-}
-
-/// Same revision-labeling rules as `perf_json`: short hash, `-dirty`
-/// suffix when the tree has uncommitted changes, `GITHUB_SHA` fallback.
-fn git_rev() -> String {
-    let from_git = Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty());
-    if let Some(rev) = from_git {
-        let dirty = Command::new("git")
-            .args(["status", "--porcelain"])
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .is_some_and(|out| !out.stdout.is_empty());
-        return if dirty { format!("{rev}-dirty") } else { rev };
-    }
-    std::env::var("GITHUB_SHA")
-        .ok()
-        .map(|sha| sha.chars().take(12).collect())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Loads the existing history (if any) as a list of points. Unreadable
-/// or unrecognized files abort rather than being silently overwritten.
-fn load_history(path: &str) -> Vec<JsonValue> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new(); // no file yet: fresh history
-    };
-    let doc = JsonValue::parse(&text)
-        .unwrap_or_else(|e| panic!("{path} exists but is not valid JSON ({e}); use --fresh"));
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some(SCHEMA) => doc
-            .get("points")
-            .and_then(JsonValue::as_array)
-            .unwrap_or_else(|| panic!("{path}: trajectory file without a points array"))
-            .to_vec(),
-        other => panic!("{path}: unrecognized schema {other:?}; use --fresh"),
+fn print_table(scenarios: &[Scenario]) {
+    let header = format!(
+        "{:<36} {:>3} {:>6} {:>6} {:>6} {:>6} {:>9} | {:>6} | paper: {:>6} {:>6} {:>6}",
+        "scenario", "n", "g_ori", "g_op", "d_in", "d_out", "-log_p", "g_la", "g_la", "g_op", "bka"
+    );
+    eprintln!("{header}\n{}", "-".repeat(header.chars().count()));
+    for s in scenarios {
+        let q = &s.quality;
+        let table2 = s.table2.map_or(String::new(), |row| {
+            let bka = row
+                .paper
+                .bka_g_add
+                .map_or("OOM".to_string(), |g| g.to_string());
+            format!(
+                " | {:>6} | paper: {:>6} {:>6} {bka:>6}",
+                row.g_la, row.paper.sabre_g_la, row.paper.sabre_g_op
+            )
+        });
+        eprintln!(
+            "{:<36} {:>3} {:>6} {:>6} {:>6} {:>6} {:>9.3}{table2}",
+            s.name,
+            s.num_qubits,
+            s.num_gates,
+            q.added_gates,
+            q.input_depth,
+            q.output_depth,
+            -q.log_success_probability.unwrap_or(0.0),
+        );
     }
 }
 
 fn main() {
-    let mut out_path = "BENCH_quality.json".to_string();
-    let mut baseline_path = DEFAULT_BASELINE.to_string();
-    let mut corpus_dir = DEFAULT_CORPUS.to_string();
-    let mut fresh = false;
-    let mut check = false;
-    let mut write_baseline = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--baseline" => baseline_path = args.next().expect("--baseline needs a path"),
-            "--corpus" => corpus_dir = args.next().expect("--corpus needs a directory"),
-            "--fresh" => fresh = true,
-            "--check" => check = true,
-            "--write-baseline" => write_baseline = true,
-            other => panic!(
-                "unknown argument `{other}` \
-                 (try --out/--baseline/--corpus/--fresh/--check/--write-baseline)"
-            ),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let write_baseline = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--write-baseline" => true,
+        _ => {
+            eprintln!("usage: quality_json [--write-baseline]");
+            std::process::exit(2);
         }
-    }
+    };
 
-    let mut entries = Vec::new();
-    for (device, graph, shape, num_qubits, num_gates) in synthetic_corpus() {
-        // Per-entry seed: stable hash of the label bytes, so the corpus
-        // can grow without perturbing or colliding with existing entries.
-        let mut fp = Fingerprinter::new("sabre/quality-json-corpus/v1");
-        for byte in device.bytes().chain(shape.bytes()) {
-            fp.write_u64(u64::from(byte));
-        }
-        fp.write_u64(num_gates as u64);
-        let circuit = random::random_circuit(num_qubits, num_gates, 0.9, fp.finish());
-        entries.push(score(format!("{device}/{shape}"), &graph, &circuit));
-    }
-    let tokyo = devices::ibm_q20_tokyo().graph().clone();
-    let corpus = sabre_qasm::load_dir(&corpus_dir)
-        .unwrap_or_else(|e| panic!("loading the QASM corpus from {corpus_dir}: {e}"));
-    assert!(
-        !corpus.is_empty(),
-        "the QASM corpus at {corpus_dir} is empty — the trajectory must cover real circuits"
-    );
-    for circuit in &corpus {
-        entries.push(score(
-            format!("tokyo20/qasm:{}", circuit.name()),
-            &tokyo,
-            circuit,
-        ));
-    }
-    for entry in &entries {
-        let q = &entry.quality;
-        eprintln!(
-            "{}: swaps={} depth_overhead={} log_success={}",
-            entry.scenario,
-            q.num_swaps,
-            q.depth_overhead,
-            q.log_success_probability
-                .map_or("n/a".to_string(), |lsp| format!("{lsp:.3}")),
-        );
-    }
-    let measured: Vec<(String, usize)> = entries
-        .iter()
-        .map(|e| (e.scenario.clone(), e.quality.num_swaps))
-        .collect();
+    let scenarios: Vec<Scenario> = corpus().iter().map(Case::run).collect();
+    print_table(&scenarios);
+    let measured = render_baseline(&scenarios);
 
     if write_baseline {
-        std::fs::write(&baseline_path, render_baseline(&measured).to_pretty())
-            .expect("writing the baseline file");
-        println!("wrote {baseline_path} (schema {BASELINE_SCHEMA})");
+        std::fs::write(BASELINE, measured.to_pretty()).expect("writing the baseline file");
+        println!("wrote {BASELINE} (schema {BASELINE_SCHEMA})");
         return;
     }
-    if check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = JsonValue::parse(&text)
-            .unwrap_or_else(|e| panic!("{baseline_path} is not valid JSON: {e}"));
-        let failures =
-            check_swaps(&baseline, &measured).unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
-        if failures.is_empty() {
-            println!(
-                "quality gate passed: {} scenarios within tolerance of {baseline_path}",
-                measured.len()
-            );
-            return;
-        }
-        for failure in &failures {
-            eprintln!("QUALITY REGRESSION: {failure}");
-        }
-        std::process::exit(1);
+    let text = std::fs::read_to_string(BASELINE)
+        .unwrap_or_else(|e| panic!("cannot read baseline {BASELINE}: {e}"));
+    let baseline =
+        JsonValue::parse(&text).unwrap_or_else(|e| panic!("{BASELINE} is not valid JSON: {e}"));
+    let failures = check(&baseline, &measured).unwrap_or_else(|e| panic!("{BASELINE}: {e}"));
+    if failures.is_empty() {
+        println!(
+            "quality gate passed: {} scenarios within tolerance of {BASELINE}",
+            scenarios.len()
+        );
+        return;
     }
-
-    let rev = git_rev();
-    let mut points = if fresh {
-        Vec::new()
-    } else {
-        load_history(&out_path)
-    };
-    let point = JsonValue::object([
-        ("git_rev", rev.as_str().into()),
-        ("config", "fast".into()),
-        ("noise", "calibrated(0.01, 4.0)".into()),
-        ("entries", entries.iter().map(Entry::to_json).collect()),
-    ]);
-    // One point per revision: re-running replaces this rev's measurement.
-    match points
-        .iter_mut()
-        .find(|p| p.get("git_rev").and_then(JsonValue::as_str) == Some(rev.as_str()))
-    {
-        Some(existing) => *existing = point,
-        None => points.push(point),
+    for failure in &failures {
+        eprintln!("QUALITY REGRESSION: {failure}");
     }
-    let history = JsonValue::object([
-        ("schema", SCHEMA.into()),
-        ("points", JsonValue::Array(points)),
-    ]);
-    std::fs::write(&out_path, history.to_pretty()).expect("writing the trajectory file");
-    println!("wrote {out_path} (revision {rev})");
+    std::process::exit(1);
 }

@@ -2,9 +2,9 @@ use std::fmt;
 
 /// Which heuristic cost function guides the SWAP search.
 ///
-/// The variants correspond to the evolution in paper §IV-D and power the
-/// ablation benches: `Basic` is Equation 1, `LookAhead` adds the extended
-/// set term, `Decay` (the full SABRE heuristic) is Equation 2.
+/// The variants correspond to the evolution in paper §IV-D: `Basic` is
+/// Equation 1, `LookAhead` adds the extended set term, `Decay` (the full
+/// SABRE heuristic) is Equation 2.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum HeuristicKind {
     /// Equation 1: sum of front-layer distances, nothing else.

@@ -105,7 +105,7 @@ impl fmt::Display for RoutedCircuit {
 }
 
 /// What one traversal of one restart produced (for reporting `g_la` vs
-/// `g_op`-style numbers and the scalability study).
+/// `g_op`-style numbers per traversal).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraversalReport {
     /// Restart index (0-based).

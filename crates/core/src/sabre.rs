@@ -407,14 +407,15 @@ impl SabreRouter {
         let mut best = best.expect("at least one restart configured");
         let mut perfect_placement = false;
         // The probe runs *after* the restart search, not before: the
-        // first-traversal telemetry (the paper's g_la column in table2/
-        // smallopt) must reflect a real search even when an embedding
-        // exists, so embeddable circuits cannot short-circuit the
-        // restarts. Callers that only want `best` can skip the probe cost
-        // via `embedding_probe_budget: 0`; routers with an attached
-        // [`EmbeddingVerdictCache`] skip only the *backtracking* on repeat
-        // interaction graphs — the probe-after-search ordering (and with
-        // it this telemetry contract) is unchanged.
+        // first-traversal telemetry (the paper's g_la column, gated per
+        // row by the Table II suite of `quality_json`) must reflect a real
+        // search even when an embedding exists, so embeddable circuits
+        // cannot short-circuit the restarts. Callers that only want
+        // `best` can skip the probe cost via `embedding_probe_budget: 0`;
+        // routers with an attached [`EmbeddingVerdictCache`] skip only the
+        // *backtracking* on repeat interaction graphs — the
+        // probe-after-search ordering (and with it this telemetry
+        // contract) is unchanged.
         //
         // A restart that already hit zero SWAPs cannot be improved: a
         // zero-SWAP routing is a wire relabeling, so its depth equals the

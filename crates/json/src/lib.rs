@@ -1,8 +1,8 @@
 //! Minimal, dependency-free JSON for the SABRE workspace.
 //!
 //! The build environment has no crates.io access, so the serving layer
-//! (`sabre_serve`) and the perf-trajectory harness (`sabre_bench`'s
-//! `perf_json`) share this hand-rolled implementation instead of `serde`:
+//! (`sabre_serve`) and the plan-quality gate (`sabre_bench`'s
+//! `quality_json`) share this hand-rolled implementation instead of `serde`:
 //! a [`JsonValue`] tree, a strict recursive-descent [parser](JsonValue::parse),
 //! and compact/pretty [writers](JsonValue::to_pretty).
 //!

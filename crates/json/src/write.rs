@@ -12,7 +12,7 @@ impl JsonValue {
     }
 
     /// Serializes with two-space indentation and a trailing newline — the
-    /// on-disk format for committed artifacts like `BENCH_routing.json`
+    /// on-disk format for committed artifacts like `BENCH_quality.json`
     /// (kept `python3 -m json.tool`-compatible for the CI gate).
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
