@@ -1,4 +1,4 @@
-//! **The plan-quality gate.** Routes [`sabre_bench::corpus`] — six
+//! **The plan-quality gate.** Routes [`sabre_bench::corpus`] — eight
 //! pinned synthetic and QASM scenarios, the paper's Table II (26 rows on
 //! Tokyo) and its Figure 8 decay sweep (9 circuits × 7 values of δ) —
 //! verifies every routing, prints one row per scenario to stderr, and

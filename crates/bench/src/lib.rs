@@ -173,8 +173,10 @@ fn tokyo() -> CouplingGraph {
 }
 
 /// Seeded deep random circuits on tokyo20, grid10x10 and a heavy-hex
-/// lattice, routed with [`SabreConfig::fast`]. Deep shapes only: quality
-/// regressions show in long circuits.
+/// lattice, and 200-qubit ones on two kilo-qubit devices past the dense
+/// threshold (grid 33×33, heavy-hex 22×44), routed with
+/// [`SabreConfig::fast`]. Deep shapes only: quality regressions show in
+/// long circuits.
 fn synthetic_suite() -> Vec<Case> {
     let suite = [
         ("tokyo20", tokyo(), 18, 2_000),
@@ -188,6 +190,18 @@ fn synthetic_suite() -> Vec<Case> {
             "heavyhex6x6",
             devices::heavy_hex(6, 6).graph().clone(),
             30,
+            1_500,
+        ),
+        (
+            "grid33x33",
+            devices::grid(33, 33).graph().clone(),
+            200,
+            1_500,
+        ),
+        (
+            "heavyhex22x44",
+            devices::heavy_hex(22, 44).graph().clone(),
+            200,
             1_500,
         ),
     ];

@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn corpus_names_are_unique_and_figure8_sweeps_every_delta() {
         let corpus = crate::corpus();
-        assert_eq!(corpus.len(), 6 + 26 + 9 * crate::FIGURE8_DELTAS.len());
+        assert_eq!(corpus.len(), 8 + 26 + 9 * crate::FIGURE8_DELTAS.len());
         let mut names: Vec<&str> = corpus.iter().map(|case| case.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();

@@ -50,14 +50,16 @@ pub struct SabreConfig {
     /// executed").
     pub decay_reset_interval: u32,
     /// Number of independent random initial mappings tried; the best final
-    /// result is reported (paper: 5).
+    /// result is reported (paper: 5). Past 128 physical qubits each one
+    /// is a BFS ball rather than uniform (`Layout::initial`).
     pub num_restarts: usize,
     /// Traversals per restart: 1 = single forward pass, 3 = the paper's
     /// forward–backward–forward reverse-traversal scheme. Must be odd so
     /// the final pass runs the original circuit.
     pub num_traversals: usize,
-    /// Seed for all randomness (initial mappings and tie-breaking); results
-    /// are fully reproducible given the seed.
+    /// Seed for all randomness (initial mappings — uniform, or past 128
+    /// physical qubits a BFS ball's root and shuffle — and tie-breaking);
+    /// results are fully reproducible given the seed.
     pub seed: u64,
     /// Livelock guard: after `3·N + livelock_slack` consecutive SWAPs with
     /// no gate executed, force-route the oldest front gate via a shortest

@@ -3,6 +3,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::Rng;
 use sabre_circuit::Qubit;
+use sabre_topology::{CouplingGraph, DENSE_DISTANCE_THRESHOLD};
 
 /// The mapping `π` between logical and physical qubits (paper Table I).
 ///
@@ -49,12 +50,53 @@ impl Layout {
     /// generate an initial mapping as a start point" (§IV-A).
     pub fn random(n: u32, rng: &mut StdRng) -> Self {
         let mut perm: Vec<Qubit> = (0..n).map(Qubit).collect();
-        // Fisher–Yates.
-        for i in (1..perm.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            perm.swap(i, j);
-        }
+        shuffle(&mut perm, rng);
         Layout::from_logical_to_physical(perm).expect("shuffled identity is a bijection")
+    }
+
+    /// The start point of one SABRE restart for a circuit of
+    /// `num_logical` qubits on `graph`. Up to
+    /// [`DENSE_DISTANCE_THRESHOLD`] physical qubits this is the paper's
+    /// uniformly random mapping ([`Layout::random`], §IV-A); past it, a
+    /// [`Layout::bfs_ball`]. The choice depends on the device size alone,
+    /// never on the distance backend, so a forced-dense and a sparse
+    /// router on the same device start from the same mapping.
+    ///
+    /// # Panics
+    ///
+    /// Past the threshold, panics if `num_logical` exceeds the device
+    /// size.
+    pub(crate) fn initial(graph: &CouplingGraph, num_logical: u32, rng: &mut StdRng) -> Self {
+        let n_phys = graph.num_qubits();
+        if n_phys > DENSE_DISTANCE_THRESHOLD {
+            Layout::bfs_ball(graph, num_logical, rng)
+        } else {
+            Layout::random(n_phys, rng)
+        }
+    }
+
+    /// A compact random mapping: the `num_logical` circuit qubits,
+    /// shuffled, on the `num_logical` physical qubits nearest a random
+    /// root. Physical qubits are ordered by `(hop distance from the
+    /// root, index)`; the virtual logical qubits `num_logical..N`, which
+    /// never appear in a gate, take the rest of that order unshuffled.
+    ///
+    /// On a device much wider than the circuit, a uniformly random
+    /// mapping scatters the circuit across the whole chip and the search
+    /// spends most of its SWAPs gathering it again; the ball starts it
+    /// gathered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has no qubits or `num_logical` exceeds its
+    /// size.
+    pub(crate) fn bfs_ball(graph: &CouplingGraph, num_logical: u32, rng: &mut StdRng) -> Self {
+        let n_phys = graph.num_qubits();
+        let dist = graph.bfs_distances(Qubit(rng.gen_range(0..n_phys)));
+        let mut order: Vec<Qubit> = (0..n_phys).map(Qubit).collect();
+        order.sort_unstable_by_key(|q| (dist[q.index()], q.0));
+        shuffle(&mut order[..num_logical as usize], rng);
+        Layout::from_logical_to_physical(order).expect("a permuted qubit order is a bijection")
     }
 
     /// Builds a layout from the `logical → physical` direction.
@@ -129,6 +171,14 @@ impl Layout {
     }
 }
 
+/// Fisher–Yates.
+fn shuffle(qubits: &mut [Qubit], rng: &mut StdRng) {
+    for i in (1..qubits.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        qubits.swap(i, j);
+    }
+}
+
 impl fmt::Display for Layout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -146,6 +196,7 @@ impl fmt::Display for Layout {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use sabre_topology::devices;
 
     #[test]
     fn identity_maps_each_to_itself() {
@@ -205,6 +256,97 @@ mod tests {
         let a = Layout::random(10, &mut rng);
         let b = Layout::random(10, &mut rng);
         assert_ne!(a, b, "astronomically unlikely to collide");
+    }
+
+    #[test]
+    fn bfs_ball_is_a_bijection() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for graph in [devices::grid(6, 7), devices::heavy_hex(3, 4)] {
+            for num_logical in [0, 1, 10, graph.graph().num_qubits()] {
+                let l = Layout::bfs_ball(graph.graph(), num_logical, &mut rng);
+                assert!(l.is_consistent());
+                assert_eq!(l.len(), graph.graph().num_qubits() as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn bfs_ball_holds_the_qubits_nearest_its_root() {
+        let graph = devices::heavy_hex(4, 6).graph().clone();
+        let n_phys = graph.num_qubits();
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // The ball draws its root first, so a clone of the RNG replays it.
+            let root = Qubit(rng.clone().gen_range(0..n_phys));
+            let dist = graph.bfs_distances(root);
+            let num_logical = 1 + (seed as u32 * 7) % (n_phys - 1);
+            let l = Layout::bfs_ball(&graph, num_logical, &mut rng);
+            let mut inside = vec![false; n_phys as usize];
+            for q in 0..num_logical {
+                inside[l.phys_of(Qubit(q)).index()] = true;
+            }
+            assert_eq!(inside.iter().filter(|&&b| b).count(), num_logical as usize);
+            let farthest_in = (0..n_phys as usize)
+                .filter(|&p| inside[p])
+                .map(|p| dist[p])
+                .max()
+                .unwrap();
+            let nearest_out = (0..n_phys as usize)
+                .filter(|&p| !inside[p])
+                .map(|p| dist[p])
+                .min()
+                .unwrap();
+            assert!(farthest_in <= nearest_out, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn bfs_ball_is_deterministic_per_rng_state() {
+        let graph = devices::grid(9, 9).graph().clone();
+        let mut a = StdRng::seed_from_u64(14);
+        let mut b = StdRng::seed_from_u64(14);
+        for _ in 0..5 {
+            assert_eq!(
+                Layout::bfs_ball(&graph, 30, &mut a),
+                Layout::bfs_ball(&graph, 30, &mut b)
+            );
+        }
+        let mut c = StdRng::seed_from_u64(15);
+        assert_ne!(
+            Layout::bfs_ball(&graph, 30, &mut a),
+            Layout::bfs_ball(&graph, 30, &mut c),
+            "astronomically unlikely to collide"
+        );
+    }
+
+    #[test]
+    fn full_bfs_ball_is_a_shuffle_of_the_whole_device() {
+        let graph = devices::grid(5, 8).graph().clone();
+        let mut rng = StdRng::seed_from_u64(16);
+        let l = Layout::bfs_ball(&graph, 40, &mut rng);
+        let mut phys: Vec<u32> = l.logical_to_physical().iter().map(|q| q.0).collect();
+        assert_ne!(l, Layout::identity(40), "astronomically unlikely");
+        phys.sort_unstable();
+        assert_eq!(phys, (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn initial_is_the_papers_random_mapping_up_to_the_threshold() {
+        for (rows, cols) in [(4, 5), (8, 16)] {
+            let graph = devices::grid(rows, cols).graph().clone();
+            let (mut a, mut b) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
+            assert_eq!(
+                Layout::initial(&graph, 10, &mut a),
+                Layout::random(graph.num_qubits(), &mut b)
+            );
+        }
+        let graph = devices::grid(3, 43).graph().clone();
+        assert!(graph.num_qubits() > DENSE_DISTANCE_THRESHOLD);
+        let (mut a, mut b) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
+        assert_eq!(
+            Layout::initial(&graph, 10, &mut a),
+            Layout::bfs_ball(&graph, 10, &mut b)
+        );
     }
 
     #[test]

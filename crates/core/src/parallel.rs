@@ -1,8 +1,9 @@
 //! Rayon-parallel multi-seed routing engine.
 //!
 //! SABRE's quality comes from running many independent trials — random
-//! initial mappings, each refined by bidirectional traversals — and
-//! keeping the best (paper §IV; trial count dominates result quality).
+//! initial mappings (past 128 physical qubits, random BFS balls), each
+//! refined by bidirectional traversals — and keeping the best (paper
+//! §IV; trial count dominates result quality).
 //! Those trials share nothing but the router's immutable preprocessing
 //! (the distance/cost matrices built once in [`SabreRouter::new`]), so
 //! they parallelize perfectly:

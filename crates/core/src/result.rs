@@ -136,8 +136,9 @@ pub struct SabreResult {
     /// SWAP counts for every traversal of every restart.
     pub traversals: Vec<TraversalReport>,
     /// `g_la`-style metric: added gates of the best *first* traversal
-    /// (look-ahead heuristic with a random initial mapping, before any
-    /// reverse-traversal improvement).
+    /// (look-ahead heuristic with a random initial mapping — past 128
+    /// physical qubits a BFS ball — before any reverse-traversal
+    /// improvement).
     pub first_traversal_added_gates: usize,
     /// Wall-clock time of the whole routing call.
     pub elapsed: Duration,

@@ -39,10 +39,10 @@ impl<'a> PreparedCircuit<'a> {
     }
 }
 
-/// Everything one restart (random initial mapping + `num_traversals`
-/// bidirectional passes) produced. Restarts are fully independent — the
-/// unit of work both the sequential and the rayon-parallel pipelines
-/// distribute.
+/// Everything one restart (random initial mapping — past 128 physical
+/// qubits a BFS ball — + `num_traversals` bidirectional passes)
+/// produced. Restarts are fully independent — the unit of work both the
+/// sequential and the rayon-parallel pipelines distribute.
 #[derive(Clone, Debug)]
 pub(crate) struct RestartOutcome {
     /// Best forward pass of this restart.
@@ -260,7 +260,9 @@ impl SabreRouter {
     }
 
     /// Routes `circuit` with the full SABRE pipeline: for each of
-    /// `num_restarts` random initial mappings, run `num_traversals`
+    /// `num_restarts` random initial mappings (past 128 physical qubits,
+    /// BFS balls: the circuit's qubits on those nearest a random root),
+    /// run `num_traversals`
     /// alternating forward/backward passes (final mappings seeding the next
     /// pass — the reverse traversal of §IV-C2) and keep the best final
     /// forward pass across restarts.
@@ -294,7 +296,9 @@ impl SabreRouter {
     }
 
     /// One independent restart: seed a per-restart RNG, draw a random
-    /// initial mapping, and run `num_traversals` alternating passes.
+    /// initial mapping ([`Layout::initial`]: uniform up to 128 physical
+    /// qubits, a BFS ball past that), and run `num_traversals`
+    /// alternating passes.
     ///
     /// The RNG stream depends only on `(config.seed, restart)`, never on
     /// which thread runs the restart — this is what makes the parallel
@@ -308,14 +312,13 @@ impl SabreRouter {
         prepared: &PreparedCircuit<'_>,
         restart: usize,
     ) -> RestartOutcome {
-        let n_phys = self.graph.num_qubits();
         // Distinct, deterministic stream per restart.
         let mut rng = StdRng::seed_from_u64(
             self.config
                 .seed
                 .wrapping_add((restart as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
-        let mut layout = Layout::random(n_phys, &mut rng);
+        let mut layout = Layout::initial(&self.graph, prepared.circuit.num_qubits(), &mut rng);
         let mut last_pass: Option<RoutedCircuit> = None;
         let mut reports = Vec::with_capacity(self.config.num_traversals);
         let mut first_traversal_swaps = 0;
@@ -524,13 +527,8 @@ impl SabreRouter {
         circuit: &Circuit,
         initial_layout: Layout,
     ) -> Result<RoutedCircuit, RouteError> {
+        self.check_fits(circuit)?;
         let n_phys = self.graph.num_qubits();
-        if circuit.num_qubits() > n_phys {
-            return Err(RouteError::DeviceTooSmall {
-                required: circuit.num_qubits(),
-                available: n_phys,
-            });
-        }
         if initial_layout.len() != n_phys as usize {
             return Err(RouteError::InvalidConfig {
                 reason: format!(

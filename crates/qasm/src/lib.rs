@@ -15,7 +15,8 @@
 //! - `qelib1` gate applications: `h x y z s sdg t tdg sx id u1 u2 u3 p rx
 //!   ry rz cx cz swap cu1 cp rzz`
 //! - parameter expressions with `pi`, unary minus, `+ - * /` and parentheses
-//! - register broadcast (`h q;` applies H to every wire of `q`)
+//! - register broadcast (`h q;` applies H to every wire of `q`), up to
+//!   [`MAX_GATES`] gates per program
 //! - `barrier` and `measure` statements are skipped (counted in
 //!   [`ParsedProgram`]): mapping operates on the unitary part of a circuit.
 //!
@@ -57,5 +58,5 @@ mod writer;
 
 pub use corpus::{load_dir, CorpusError};
 pub use error::QasmError;
-pub use parser::{parse, parse_program, ParsedProgram};
+pub use parser::{parse, parse_program, ParsedProgram, MAX_GATES};
 pub use writer::to_qasm;

@@ -27,8 +27,9 @@ pub struct ParsedProgram {
 /// # Errors
 ///
 /// Returns a [`QasmError`] with source position for lexical errors, syntax
-/// errors, unknown gates, and references to undeclared registers or
-/// out-of-range indices.
+/// errors, unknown gates, references to undeclared registers or
+/// out-of-range indices, and the statement that takes the program past
+/// [`MAX_GATES`] gates.
 pub fn parse(source: &str) -> Result<Circuit, QasmError> {
     parse_program(source).map(|p| p.circuit)
 }
@@ -80,6 +81,12 @@ enum Arg {
     /// `(offset, size)` of a register.
     Register(u32, u32),
 }
+
+/// Most gates one program may expand to. Register broadcast makes a
+/// statement's gate count independent of its length (`h q;` on
+/// `qreg q[4000000000];` is 4·10⁹ gates from 30 bytes), so the parser
+/// checks this before expanding each statement, not after.
+pub const MAX_GATES: usize = 1_000_000;
 
 /// Most parameters and qubit arguments any supported gate takes.
 const MAX_PARAMS: usize = 3;
@@ -385,6 +392,19 @@ impl<'a> Parser<'a> {
         args: &[Arg],
         tok: Token<'a>,
     ) -> Result<(), QasmError> {
+        // The widest operand bounds the expansion (a size mismatch is
+        // reported below, once the statement is known to fit).
+        let widest = args.iter().fold(1, |widest, arg| match *arg {
+            Arg::Single(_) => widest,
+            Arg::Register(_, size) => widest.max(size as usize),
+        });
+        if self.gates.len().saturating_add(widest) > MAX_GATES {
+            return Err(QasmError::new(
+                tok.line,
+                tok.column,
+                format!("program expands to more than {MAX_GATES} gates"),
+            ));
+        }
         match *args {
             [Arg::Single(q)] => self.gates.push(spec.build_one(q, params)),
             [Arg::Register(offset, size)] => {
@@ -809,6 +829,8 @@ mod tests {
             (true, "qreg q[1];\nrz(pi pi) q[0];\n", 4, 7, "expected `)`, found `pi`"),
             (true, "qreg q[1];\ncreg c[1];\nif (c) x q[0];\n", 5, 1, "`if` statements are not supported"),
             (true, "qreg q[1];\nopaque g a;\n", 4, 1, "custom gate definitions are not supported; inline the body"),
+            (true, "qreg q[4000000000]; h q;\n", 3, 21, "program expands to more than 1000000 gates"),
+            (true, "qreg q[600000];\nh q;\ncx q[0], q[1];\nx q;\n", 6, 1, "program expands to more than 1000000 gates"),
         ];
         for &(with_header, body, line, column, message) in cases {
             let source = if with_header {

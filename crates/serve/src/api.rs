@@ -9,6 +9,7 @@
 use sabre::{HeuristicKind, SabreConfig};
 use sabre_circuit::{Circuit, Gate, OneQubitKind, Params, Qubit, TwoQubitKind};
 use sabre_json::JsonValue;
+use sabre_qasm::MAX_GATES;
 use sabre_shard::ShardConfig;
 use sabre_topology::noise::NoiseModel;
 use sabre_topology::{devices, CouplingGraph};
@@ -70,8 +71,6 @@ pub fn too_many_requests(
 /// unauthenticated request from demanding a 10⁵-qubit registration whose
 /// per-row Dijkstra work could still tie up a worker.
 const MAX_DEVICE_QUBITS: u32 = 4096;
-/// Gate-count cap per submitted circuit (`/route`) or batch slot.
-const MAX_CIRCUIT_GATES: usize = 1_000_000;
 
 /// The top-level body must be a JSON object.
 pub fn as_object(body: &JsonValue) -> Result<&[(String, JsonValue)], ApiError> {
@@ -83,7 +82,7 @@ pub fn as_object(body: &JsonValue) -> Result<&[(String, JsonValue)], ApiError> {
 /// `{"qasm": "OPENQASM 2.0; …"}` or
 /// `{"num_qubits": n, "gates": [{"gate": "cx", "qubits": [0, 1]}, …]}`
 /// (`"params"` carries rotation angles, `"name"` is optional in both
-/// forms).
+/// forms). Either form is capped at [`MAX_GATES`] gates.
 pub fn parse_circuit(spec: &JsonValue) -> Result<Circuit, ApiError> {
     let obj = spec
         .as_object()
@@ -108,16 +107,13 @@ pub fn parse_circuit(spec: &JsonValue) -> Result<Circuit, ApiError> {
         let source = qasm
             .as_str()
             .ok_or_else(|| ApiError::bad_request("\"qasm\" must be a string"))?;
+        // The parser enforces the gate cap statement by statement, before
+        // a register broadcast expands.
         sabre_qasm::parse(source)
             .map_err(|e| ApiError::bad_request(format!("invalid OpenQASM: {e}")))?
     } else {
         parse_gate_list(spec)?
     };
-    if circuit.num_gates() > MAX_CIRCUIT_GATES {
-        return Err(ApiError::bad_request(format!(
-            "circuit exceeds {MAX_CIRCUIT_GATES} gates"
-        )));
-    }
     if let Some(name) = name {
         circuit.set_name(name);
     }
@@ -136,9 +132,9 @@ fn parse_gate_list(spec: &JsonValue) -> Result<Circuit, ApiError> {
         .get("gates")
         .and_then(JsonValue::as_array)
         .ok_or_else(|| ApiError::bad_request("circuit \"gates\" must be an array"))?;
-    if gates.len() > MAX_CIRCUIT_GATES {
+    if gates.len() > MAX_GATES {
         return Err(ApiError::bad_request(format!(
-            "circuit exceeds {MAX_CIRCUIT_GATES} gates"
+            "circuit exceeds {MAX_GATES} gates"
         )));
     }
     let mut circuit = Circuit::new(num_qubits);
@@ -651,6 +647,25 @@ mod tests {
                 err.message
             );
         }
+    }
+
+    #[test]
+    fn broadcast_bomb_is_rejected_before_it_expands() {
+        // 4·10⁹ gates from one broadcast: the cap must reject the
+        // statement before the parser allocates for it.
+        let spec = parse(
+            r#"{"qasm": "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4000000000]; h q;"}"#,
+        );
+        let start = std::time::Instant::now();
+        let err = parse_circuit(&spec).unwrap_err();
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(err.status, 400);
+        assert!(
+            err.message
+                .contains("3:21: program expands to more than 1000000 gates"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! CSR graph and a bounded LRU of Dijkstra rows. This example routes
 //! a deep circuit on a 1089-qubit grid (33×33) and then preprocesses a
 //! 10 000-qubit grid, printing the resident row counts so you can see
-//! memory stay flat. CI runs it under a hard 1 GiB address-space ceiling
-//! (`ulimit -v`); at 10⁴ qubits a dense distance matrix alone would need
-//! ~800 MB.
+//! memory stay flat. CI runs it under a hard 256 MiB address-space
+//! ceiling (`ulimit -v`); at 10⁴ qubits a dense distance matrix alone
+//! would need ~800 MB.
 //!
 //! ```text
 //! cargo run --release --example kilo_qubit

@@ -43,6 +43,19 @@ fn parallel_is_bit_identical_to_sequential() {
         let parallel = router.route_parallel(circuit).unwrap();
         assert_same_result(label, &sequential, &parallel);
     }
+
+    // Past the dense threshold each restart starts from a BFS ball drawn
+    // from its own RNG stream; the identity must hold there too.
+    let grid = devices::grid(33, 33);
+    let config = SabreConfig {
+        num_restarts: 3,
+        ..SabreConfig::paper()
+    };
+    let router = SabreRouter::new(grid.graph().clone(), config).unwrap();
+    let circuit = random::random_circuit(40, 200, 0.8, 33);
+    let sequential = router.route(&circuit).unwrap();
+    let parallel = router.route_parallel(&circuit).unwrap();
+    assert_same_result("grid33x33/random40", &sequential, &parallel);
 }
 
 /// Determinism also holds run-to-run (the parallel engine cannot be
