@@ -6,36 +6,32 @@
 //! — on every call, and the perfect-placement probe re-burns its
 //! backtracking budget on every `route()` of a circuit it has already
 //! judged. Both costs are per-*device* (respectively
-//! per-*interaction-graph*), not per-call, so a service routing heavy
-//! traffic against a handful of hot devices should pay them once.
-//! [`DeviceCache`] is that layer:
+//! per-*interaction-graph*), not per-call; [`DeviceCache`] pays them once:
 //!
-//! - **Router acquisition** ([`DeviceCache::router`],
-//!   [`DeviceCache::router_with_noise`]): preprocessed state is cached
-//!   under [`CouplingGraph::fingerprint`] (and
-//!   [`NoiseModel::fingerprint`] for the weighted matrix); a warm hit
-//!   skips that preprocessing entirely and hands out a router sharing the
-//!   cached matrices via `Arc`.
-//! - **Calibration refresh** ([`DeviceCache::refresh_noise`]): when a
-//!   device's daily calibration lands, only the noise-weighted matrix is
-//!   recomputed — the coupling graph, connectivity verdict, and hop
-//!   matrix are reused.
-//! - **Embedding verdicts** ([`EmbeddingVerdictCache`]): the probe's
-//!   `Found`/`Impossible`/budget-exhausted outcome is cached per
-//!   `(device, interaction graph, budget)`, so a non-embeddable circuit's
-//!   second `route()` performs zero backtracking steps. The probe still
-//!   runs *after* the restart search (see `assemble` in `sabre.rs`), so
-//!   the first-traversal telemetry contract is untouched.
+//! - [`DeviceCache::router`] and [`DeviceCache::router_with_noise`]: a
+//!   warm hit skips the preprocessing and shares the cached matrices via
+//!   `Arc`.
+//! - [`DeviceCache::refresh_noise`]: a new calibration recomputes only
+//!   the noise-weighted matrix.
+//! - [`EmbeddingVerdictCache`]: the probe's outcome per `(device,
+//!   interaction graph, budget)`, so a repeated question does zero
+//!   backtracking. The probe still runs *after* the restart search (see
+//!   `assemble` in `sabre.rs`), so first-traversal telemetry is unchanged.
 //!
 //! Cached routing is **bit-identical** to uncached routing for a fixed
-//! seed: the cache only ever reuses values the cold path would recompute
-//! deterministically. Fingerprints are 64-bit content hashes; every hit
-//! additionally verifies structural equality (cheap, `O(E)`) so even a
-//! hash collision cannot alias two devices — the colliding entry is
-//! simply bypassed.
+//! seed: the cache only reuses values the cold path would recompute
+//! deterministically. Keys are 64-bit content fingerprints, and every hit
+//! also verifies structural equality (`O(E)`), so a hash collision is
+//! bypassed, never aliased.
 //!
-//! All methods take `&self` behind an [`RwLock`]; share one cache across
-//! the rayon pool (or an entire service) with `Arc<DeviceCache>`.
+//! Every layer is one [`BoundedLru`], the workspace's single cache
+//! discipline, with a finite bound: [`DEVICE_CACHE_CAPACITY`] devices,
+//! [`NOISE_CACHE_CAPACITY`] `(device, calibration)` matrices,
+//! [`VERDICT_CACHE_CAPACITY`] probe verdicts and the [`PlanCache`]'s own
+//! capacity. Each computes misses outside its lock and keeps hit/miss
+//! counters that survive eviction. All methods take `&self`; share one
+//! cache across the rayon pool (or a whole service) with
+//! `Arc<DeviceCache>`.
 //!
 //! # Example
 //!
@@ -59,48 +55,66 @@
 //! # Ok::<(), sabre::RouteError>(())
 //! ```
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::convert::Infallible;
+use std::sync::Arc;
 
 use sabre_circuit::interaction::InteractionGraph;
 use sabre_topology::embedding::{self, Embedding};
 use sabre_topology::noise::NoiseModel;
-use sabre_topology::{CouplingGraph, Qubit, WeightedDistanceMatrix};
+use sabre_topology::{
+    BoundedLru, CouplingGraph, WeightedDistanceMatrix, DEVICE_CACHE_CAPACITY, NOISE_CACHE_CAPACITY,
+    VERDICT_CACHE_CAPACITY,
+};
 
 use crate::plan::PlanCache;
 use crate::sabre::noise_cost_matrix;
 use crate::{RouteError, SabreConfig, SabreRouter};
 
 /// Preprocessed state of one device, built once per coupling-graph
-/// fingerprint: everything [`SabreRouter::new`] computes, plus any
-/// noise-weighted matrices acquired so far.
+/// fingerprint: everything [`SabreRouter::new`] computes.
 #[derive(Debug)]
 struct GraphEntry {
+    fingerprint: u64,
     graph: Arc<CouplingGraph>,
     hops: Arc<WeightedDistanceMatrix>,
-    /// Noise-weighted matrices keyed by [`NoiseModel::fingerprint`]; the
-    /// model is stored alongside for collision verification.
-    weighted: RwLock<HashMap<u64, (NoiseModel, Arc<WeightedDistanceMatrix>)>>,
-    /// Calibration epoch, bumped by [`DeviceCache::refresh_noise`] so a
-    /// concurrently computed matrix for a superseded calibration is not
-    /// re-inserted after the refresh cleared it.
-    noise_epoch: AtomicU64,
 }
 
 impl GraphEntry {
     /// The cold path. Delegates to [`SabreRouter::new`] so the cache can
     /// never drift from the uncached preprocessing — whatever `new`
     /// computes is, by construction, what a miss caches.
-    fn build(graph: &CouplingGraph) -> Result<Self, RouteError> {
+    fn build(graph: &CouplingGraph, fingerprint: u64) -> Result<Self, RouteError> {
         let (graph, hops) = SabreRouter::new(graph.clone(), SabreConfig::default())?.into_parts();
         Ok(GraphEntry {
+            fingerprint,
             graph,
             hops,
-            weighted: RwLock::new(HashMap::new()),
-            noise_epoch: AtomicU64::new(0),
         })
+    }
+}
+
+/// A noise-weighted matrix plus the exact `(device, calibration)` it was
+/// computed for, so hits can verify they are not serving a fingerprint
+/// collision.
+#[derive(Debug)]
+struct WeightedEntry {
+    graph: Arc<CouplingGraph>,
+    noise: NoiseModel,
+    cost: Arc<WeightedDistanceMatrix>,
+}
+
+impl WeightedEntry {
+    fn build(device: &GraphEntry, noise: &NoiseModel) -> Result<Self, Infallible> {
+        Ok(WeightedEntry {
+            graph: device.graph.clone(),
+            noise: noise.clone(),
+            cost: Arc::new(noise_cost_matrix(&device.graph, noise)),
+        })
+    }
+
+    fn answers(&self, device: &GraphEntry, noise: &NoiseModel) -> bool {
+        (Arc::ptr_eq(&self.graph, &device.graph) || *self.graph == *device.graph)
+            && self.noise == *noise
     }
 }
 
@@ -128,13 +142,12 @@ pub struct DeviceCacheStats {
 /// hold one of these for the life of the process.
 #[derive(Debug)]
 pub struct DeviceCache {
-    entries: RwLock<HashMap<u64, Arc<GraphEntry>>>,
+    /// Preprocessed devices by [`CouplingGraph::fingerprint`].
+    entries: BoundedLru<u64, GraphEntry>,
+    /// Noise-weighted matrices by `(graph, noise)` fingerprints.
+    weighted: BoundedLru<(u64, u64), WeightedEntry>,
     verdicts: Arc<EmbeddingVerdictCache>,
     plans: PlanCache,
-    graph_hits: AtomicU64,
-    graph_misses: AtomicU64,
-    noise_hits: AtomicU64,
-    noise_misses: AtomicU64,
 }
 
 impl Default for DeviceCache {
@@ -155,16 +168,12 @@ impl DeviceCache {
     /// that need strict per-seed output reproducibility).
     pub fn with_plan_capacity(capacity: usize) -> Self {
         DeviceCache {
-            entries: RwLock::new(HashMap::new()),
+            entries: BoundedLru::new(DEVICE_CACHE_CAPACITY),
+            weighted: BoundedLru::new(NOISE_CACHE_CAPACITY),
             verdicts: Arc::default(),
             plans: PlanCache::with_capacity(capacity),
-            graph_hits: AtomicU64::new(0),
-            graph_misses: AtomicU64::new(0),
-            noise_hits: AtomicU64::new(0),
-            noise_misses: AtomicU64::new(0),
         }
     }
-
     /// The routed-plan cache layer (see [`PlanCache`]): consult it before
     /// routing a circuit whose structure may have been routed before, and
     /// feed it finished routes so re-parameterized submissions rebind.
@@ -246,15 +255,17 @@ impl DeviceCache {
         noise: &NoiseModel,
     ) -> Result<(), RouteError> {
         let entry = self.entry(graph)?;
-        let cost = Arc::new(noise_cost_matrix(&entry.graph, noise));
-        self.noise_misses.fetch_add(1, Ordering::Relaxed);
-        let mut weighted = entry.weighted.write().expect("device cache poisoned");
-        // Bump under the write lock: any acquisition that started its
-        // computation against the old epoch will see the change and skip
-        // re-inserting a superseded calibration.
-        entry.noise_epoch.fetch_add(1, Ordering::Release);
-        weighted.clear();
-        weighted.insert(noise.fingerprint(), (noise.clone(), cost));
+        let fresh = WeightedEntry::build(&entry, noise);
+        // Drop the device's superseded calibrations. The retain bumps the
+        // LRU's epoch, which is the guard against a stale re-insert: an
+        // acquisition that started computing before it will not cache
+        // its (possibly superseded) matrix after it.
+        self.weighted
+            .retain(|&(device, _), _| device != entry.fingerprint);
+        let key = (entry.fingerprint, noise.fingerprint());
+        let Ok(_) = self
+            .weighted
+            .get_or_insert_with(key, |w| w.answers(&entry, noise), || fresh);
         Ok(())
     }
 
@@ -266,7 +277,7 @@ impl DeviceCache {
 
     /// Number of distinct devices currently cached.
     pub fn len(&self) -> usize {
-        self.entries.read().expect("device cache poisoned").len()
+        self.entries.len()
     }
 
     /// Whether no device has been cached yet.
@@ -274,10 +285,11 @@ impl DeviceCache {
         self.len() == 0
     }
 
-    /// Drops every cached device, embedding verdict, and routed plan.
-    /// Counters are not reset.
+    /// Drops every cached device, noise-weighted matrix, embedding
+    /// verdict, and routed plan. Counters are not reset.
     pub fn clear(&self) {
-        self.entries.write().expect("device cache poisoned").clear();
+        self.entries.clear();
+        self.weighted.clear();
         self.verdicts.clear();
         self.plans.clear();
     }
@@ -285,49 +297,29 @@ impl DeviceCache {
     /// A snapshot of the hit/miss counters (embedding counters come from
     /// the shared verdict store).
     pub fn stats(&self) -> DeviceCacheStats {
+        let (graph, noise) = (self.entries.stats(), self.weighted.stats());
         DeviceCacheStats {
-            graph_hits: self.graph_hits.load(Ordering::Relaxed),
-            graph_misses: self.graph_misses.load(Ordering::Relaxed),
-            noise_hits: self.noise_hits.load(Ordering::Relaxed),
-            noise_misses: self.noise_misses.load(Ordering::Relaxed),
+            graph_hits: graph.hits,
+            graph_misses: graph.misses,
+            noise_hits: noise.hits,
+            noise_misses: noise.misses,
             embedding_hits: self.verdicts.hits(),
             embedding_misses: self.verdicts.misses(),
         }
     }
 
     /// The graph entry for `graph`, built on first sight. Preprocessing
-    /// runs *outside* the write lock so concurrent misses on different
+    /// runs outside the cache's lock, so concurrent misses on different
     /// devices do not serialize; if two threads race on the same device,
-    /// the first insert wins and the loser's work is discarded (both are
-    /// structurally identical, so results cannot differ).
+    /// the first insert wins (both are structurally identical, so results
+    /// cannot differ).
     fn entry(&self, graph: &CouplingGraph) -> Result<Arc<GraphEntry>, RouteError> {
         let key = graph.fingerprint();
-        if let Some(entry) = self
-            .entries
-            .read()
-            .expect("device cache poisoned")
-            .get(&key)
-        {
-            if *entry.graph == *graph {
-                self.graph_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(entry.clone());
-            }
-            // 64-bit fingerprint collision between distinct devices:
-            // serve an uncached entry rather than alias them.
-            self.graph_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(GraphEntry::build(graph)?));
-        }
-        self.graph_misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(GraphEntry::build(graph)?);
-        let mut entries = self.entries.write().expect("device cache poisoned");
-        Ok(match entries.entry(key) {
-            Entry::Vacant(slot) => slot.insert(built).clone(),
-            // Raced with another insert: reuse it only if it really is
-            // this device — a fingerprint-colliding different graph must
-            // not be served (same guard as the read path above).
-            Entry::Occupied(existing) if *existing.get().graph == *graph => existing.get().clone(),
-            Entry::Occupied(_) => built,
-        })
+        self.entries.get_or_insert_with(
+            key,
+            |entry| *entry.graph == *graph,
+            || GraphEntry::build(graph, key),
+        )
     }
 
     /// The weighted matrix for `(entry, noise)`, computed on first sight.
@@ -336,59 +328,19 @@ impl DeviceCache {
         entry: &GraphEntry,
         noise: &NoiseModel,
     ) -> Arc<WeightedDistanceMatrix> {
-        let key = noise.fingerprint();
-        if let Some((cached_noise, cost)) = entry
-            .weighted
-            .read()
-            .expect("device cache poisoned")
-            .get(&key)
-        {
-            if cached_noise == noise {
-                self.noise_hits.fetch_add(1, Ordering::Relaxed);
-                return cost.clone();
-            }
-            // Noise-fingerprint collision: compute without caching.
-            self.noise_misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(noise_cost_matrix(&entry.graph, noise));
-        }
-        self.noise_misses.fetch_add(1, Ordering::Relaxed);
-        let epoch = entry.noise_epoch.load(Ordering::Acquire);
-        let cost = Arc::new(noise_cost_matrix(&entry.graph, noise));
-        let mut weighted = entry.weighted.write().expect("device cache poisoned");
-        if entry.noise_epoch.load(Ordering::Acquire) != epoch {
-            // A refresh_noise landed while we computed: this calibration
-            // may be superseded, so hand it to the caller without caching
-            // it (caching would undo the refresh's memory bound).
-            return cost;
-        }
-        match weighted.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert((noise.clone(), cost.clone()));
-                cost
-            }
-            // Raced with another insert: reuse it only for the identical
-            // model; a fingerprint-colliding different calibration gets
-            // the freshly computed matrix instead.
-            Entry::Occupied(existing) if existing.get().0 == *noise => existing.get().1.clone(),
-            Entry::Occupied(_) => cost,
-        }
+        let key = (entry.fingerprint, noise.fingerprint());
+        let Ok(weighted) = self.weighted.get_or_insert_with(
+            key,
+            |w| w.answers(entry, noise),
+            || WeightedEntry::build(entry, noise),
+        );
+        weighted.cost.clone()
     }
 }
 
-/// A probe verdict in storable form; [`Embedding`] plus the
-/// budget-exhausted case.
-#[derive(Clone, Debug)]
-enum CachedVerdict {
-    /// The probe found this zero-SWAP placement.
-    Found(Vec<Option<Qubit>>),
-    /// No zero-SWAP placement exists (exact verdict).
-    Impossible,
-    /// The backtracking budget ran out before a verdict.
-    Exhausted,
-}
-
 /// Shared store of perfect-placement probe outcomes, keyed by
-/// `(device fingerprint, interaction-graph fingerprint, budget)`.
+/// `(device fingerprint, interaction-graph fingerprint, budget)` and
+/// bounded at [`VERDICT_CACHE_CAPACITY`] verdicts.
 ///
 /// The budget is part of the key because a verdict is only guaranteed to
 /// reproduce the uncached probe bit-for-bit at the *same* budget: a
@@ -429,22 +381,29 @@ enum CachedVerdict {
 /// assert_eq!(first.best, second.best);
 /// # Ok::<(), sabre::RouteError>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EmbeddingVerdictCache {
-    verdicts: RwLock<HashMap<(u64, u64, usize), VerdictEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    verdicts: BoundedLru<(u64, u64, usize), VerdictEntry>,
 }
 
-/// A stored verdict plus the exact question it answers, so hits can
-/// verify they are not serving a fingerprint collision. The host is an
-/// `Arc` share of the router's own graph — thousands of verdicts against
-/// one device reference a single graph allocation.
-#[derive(Clone, Debug)]
+impl Default for EmbeddingVerdictCache {
+    fn default() -> Self {
+        EmbeddingVerdictCache {
+            verdicts: BoundedLru::new(VERDICT_CACHE_CAPACITY),
+        }
+    }
+}
+
+/// A stored verdict (`None` = the budget ran out) plus the exact question
+/// it answers, so hits can verify they are not serving a fingerprint
+/// collision. The host is an `Arc` share of the router's own graph —
+/// thousands of verdicts against one device reference a single graph
+/// allocation.
+#[derive(Debug)]
 struct VerdictEntry {
     pattern: InteractionGraph,
     host: Arc<CouplingGraph>,
-    verdict: CachedVerdict,
+    verdict: Option<Embedding>,
 }
 
 impl EmbeddingVerdictCache {
@@ -467,61 +426,33 @@ impl EmbeddingVerdictCache {
         budget: usize,
     ) -> Option<Embedding> {
         let key = (host.fingerprint(), pattern.fingerprint(), budget);
-        let mut collision = false;
-        if let Some(entry) = self
-            .verdicts
-            .read()
-            .expect("verdict cache poisoned")
-            .get(&key)
-        {
-            if entry.pattern == *pattern && entry.host == *host {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return match &entry.verdict {
-                    CachedVerdict::Found(map) => Some(Embedding::Found(map.clone())),
-                    CachedVerdict::Impossible => Some(Embedding::Impossible),
-                    CachedVerdict::Exhausted => None,
-                };
-            }
-            // Fingerprint collision with a different question: answer
-            // fresh and leave the stored verdict alone.
-            collision = true;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = embedding::find_embedding_within(pattern, host, budget);
-        if !collision {
-            let verdict = match &outcome {
-                Some(Embedding::Found(map)) => CachedVerdict::Found(map.clone()),
-                Some(Embedding::Impossible) => CachedVerdict::Impossible,
-                None => CachedVerdict::Exhausted,
-            };
-            self.verdicts
-                .write()
-                .expect("verdict cache poisoned")
-                .insert(
-                    key,
-                    VerdictEntry {
-                        pattern: pattern.clone(),
-                        host: host.clone(),
-                        verdict,
-                    },
-                );
-        }
-        outcome
+        let Ok(entry) = self.verdicts.get_or_insert_with(
+            key,
+            |entry| entry.pattern == *pattern && entry.host == *host,
+            || {
+                Ok::<_, Infallible>(VerdictEntry {
+                    pattern: pattern.clone(),
+                    host: host.clone(),
+                    verdict: embedding::find_embedding_within(pattern, host, budget),
+                })
+            },
+        );
+        entry.verdict.clone()
     }
 
     /// Verdicts served from the store.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.verdicts.stats().hits
     }
 
     /// Verdicts computed by backtracking search.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.verdicts.stats().misses
     }
 
-    /// Number of stored verdicts.
+    /// Number of stored verdicts (at most [`VERDICT_CACHE_CAPACITY`]).
     pub fn len(&self) -> usize {
-        self.verdicts.read().expect("verdict cache poisoned").len()
+        self.verdicts.len()
     }
 
     /// Whether the store is empty.
@@ -531,10 +462,7 @@ impl EmbeddingVerdictCache {
 
     /// Drops every stored verdict. Counters are not reset.
     pub fn clear(&self) {
-        self.verdicts
-            .write()
-            .expect("verdict cache poisoned")
-            .clear();
+        self.verdicts.clear();
     }
 }
 
@@ -680,6 +608,43 @@ mod tests {
         assert_eq!(stats.noise_hits, 1);
         // ...and the graph preprocessing ran exactly once overall.
         assert_eq!(stats.graph_misses, 1);
+    }
+
+    #[test]
+    fn verdict_store_stays_bounded_and_answers_like_the_uncached_probe() {
+        let host = Arc::new(devices::ibm_q20_tokyo().graph().clone());
+        let budget = 500;
+        // Pattern i couples (q, q + 1) for every bit q set in i + 1: a
+        // distinct edge set, so a distinct question, for every i < 8191.
+        let pattern = |i: usize| {
+            let mut c = Circuit::new(14);
+            for q in (0..13u32).filter(|q| (i + 1) >> q & 1 == 1) {
+                c.cx(Qubit(q), Qubit(q + 1));
+            }
+            InteractionGraph::of(&c)
+        };
+        let uncached = |p: &InteractionGraph| embedding::find_embedding_within(p, &host, budget);
+        let verdicts = EmbeddingVerdictCache::new();
+        let total = VERDICT_CACHE_CAPACITY + 100;
+        for i in 0..total {
+            let p = pattern(i);
+            assert_eq!(verdicts.find_embedding(&p, &host, budget), uncached(&p));
+            assert!(verdicts.len() <= VERDICT_CACHE_CAPACITY);
+        }
+        assert_eq!(verdicts.len(), VERDICT_CACHE_CAPACITY);
+        assert_eq!((verdicts.hits(), verdicts.misses()), (0, total as u64));
+        // The oldest verdict was evicted and is recomputed identically;
+        // the newest is still served from the store.
+        let (oldest, newest) = (pattern(0), pattern(total - 1));
+        assert_eq!(
+            verdicts.find_embedding(&oldest, &host, budget),
+            uncached(&oldest)
+        );
+        assert_eq!(
+            verdicts.find_embedding(&newest, &host, budget),
+            uncached(&newest)
+        );
+        assert_eq!((verdicts.hits(), verdicts.misses()), (1, total as u64 + 1));
     }
 
     #[test]

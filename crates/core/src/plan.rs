@@ -57,12 +57,14 @@
 //!
 //! # Memory discipline
 //!
-//! The cache is a bounded LRU: inserting beyond `capacity` evicts the
-//! least-recently-used plan. Plans are handed out behind `Arc`, so an
-//! eviction never invalidates a plan another thread is concurrently
-//! rebinding — the allocation is freed when the last user drops it.
-//! [`PlanCacheStats::approx_bytes`] tracks an estimate of resident plan
-//! bytes for the `/metrics` gauge.
+//! The cache is a [`BoundedLru`], the workspace's one cache discipline:
+//! inserting beyond `capacity` evicts the least-recently-used plan in
+//! `O(1)`. Plans are handed out behind `Arc`, so an eviction never
+//! invalidates a plan another thread is concurrently rebinding — the
+//! allocation is freed when the last user drops it. A lookup holds the
+//! LRU's lock only to find and touch the entry; hit verification runs
+//! after it is released. [`PlanCacheStats::approx_bytes`] estimates
+//! resident plan bytes for the `/metrics` gauge.
 //!
 //! # Example
 //!
@@ -98,15 +100,13 @@
 //! # Ok::<(), sabre::RouteError>(())
 //! ```
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sabre_circuit::fingerprint::Fingerprinter;
 use sabre_circuit::{Circuit, DependencyDag, ExecutionFrontier, Gate};
 use sabre_topology::noise::NoiseModel;
-use sabre_topology::CouplingGraph;
+use sabre_topology::{BoundedLru, CouplingGraph};
 
 use crate::quality::PlanQuality;
 use crate::{RoutedCircuit, SabreConfig, SabreResult, TraversalReport};
@@ -344,16 +344,6 @@ fn plan_key(
     fp.finish()
 }
 
-/// One cache slot: the plan plus its LRU recency stamp. The stamp is
-/// atomic so lookups (read lock) can refresh recency without writer
-/// contention.
-#[derive(Debug)]
-struct PlanEntry {
-    plan: Arc<RoutedPlan>,
-    last_used: AtomicU64,
-    bytes: usize,
-}
-
 /// Counter snapshot from [`PlanCache::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -369,51 +359,39 @@ pub struct PlanCacheStats {
     pub approx_bytes: u64,
 }
 
-/// Bounded-LRU cache of [`RoutedPlan`]s, shared across threads behind an
-/// `RwLock` — see the [module docs](self) for the key/collision design.
+/// Bounded-LRU cache of [`RoutedPlan`]s, shared across threads — see the
+/// [module docs](self) for the key/collision design.
 /// A capacity of **0 disables the cache**: lookups return `None` without
 /// counting a miss and inserts are dropped, which callers needing strict
 /// per-seed reproducibility use to opt out.
 #[derive(Debug)]
 pub struct PlanCache {
-    entries: RwLock<HashMap<u64, PlanEntry>>,
-    capacity: usize,
-    /// Monotonic recency clock; bumped on every hit and insert.
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    bytes: AtomicU64,
+    entries: BoundedLru<u64, RoutedPlan>,
 }
 
 impl Default for PlanCache {
-    /// A cache with the default capacity (256 plans).
+    /// A cache with the default capacity (512 plans).
     fn default() -> Self {
         PlanCache::with_capacity(PlanCache::DEFAULT_CAPACITY)
     }
 }
 
 impl PlanCache {
-    /// Default number of resident plans; enough for hundreds of hot
-    /// ansatz shapes while bounding memory to a few MB of skeletons.
-    pub const DEFAULT_CAPACITY: usize = 256;
+    /// Default number of resident plans, shared by the library and the
+    /// server; enough for hundreds of hot ansatz shapes while bounding
+    /// memory to a few MB of skeletons.
+    pub const DEFAULT_CAPACITY: usize = 512;
 
     /// An empty cache holding at most `capacity` plans (0 = disabled).
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            entries: RwLock::new(HashMap::new()),
-            capacity,
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
+            entries: BoundedLru::new(capacity),
         }
     }
 
     /// The configured capacity bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.capacity()
     }
 
     /// Looks up a plan for `circuit`'s structure on `(graph, noise,
@@ -457,38 +435,18 @@ impl PlanCache {
         noise: Option<&NoiseModel>,
         config: &SabreConfig,
     ) -> Option<Arc<RoutedPlan>> {
-        if self.capacity == 0 {
+        if self.capacity() == 0 {
             return None;
         }
         let key = plan_key(circuit, graph, noise, config);
-        let plan = {
-            let entries = self.entries.read().expect("plan cache poisoned");
-            match entries.get(&key) {
-                Some(entry) => {
-                    entry.last_used.store(
-                        self.tick.fetch_add(1, Ordering::Relaxed) + 1,
-                        Ordering::Relaxed,
-                    );
-                    entry.plan.clone()
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
-        };
-        if !plan.answers(circuit, graph, noise, config) {
-            // Fingerprint collision with a different question: route
-            // fresh rather than alias (the stored plan stays resident).
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(plan)
+        // A fingerprint collision with a different question is a miss:
+        // route fresh rather than alias (the stored plan stays resident).
+        self.entries
+            .get(&key, |plan| plan.answers(circuit, graph, noise, config))
     }
 
     /// Caches the plan behind a finished first route of `circuit`.
-    /// Builds the bind map by replay *before* taking the write lock; if
+    /// Builds the bind map by replay *before* taking the LRU's lock; if
     /// the replay cannot account for the result (not routed from
     /// `circuit`), nothing is cached. An existing entry under the same
     /// key is kept — first insert wins, matching [`crate::DeviceCache`]'s
@@ -502,50 +460,24 @@ impl PlanCache {
         config: &SabreConfig,
         result: &SabreResult,
     ) {
-        if self.capacity == 0 {
+        if self.capacity() == 0 {
             return;
         }
         let key = plan_key(circuit, graph, noise, config);
-        let Some(plan) = RoutedPlan::from_route(
+        if let Some(plan) = RoutedPlan::from_route(
             circuit.clone(),
             Arc::new(graph.clone()),
             noise.cloned(),
             *config,
             result.clone(),
-        ) else {
-            return;
-        };
-        let bytes = plan.approx_bytes();
-        let entry = PlanEntry {
-            plan: Arc::new(plan),
-            last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
-            bytes,
-        };
-        let mut entries = self.entries.write().expect("plan cache poisoned");
-        if entries.contains_key(&key) {
-            return;
-        }
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        entries.insert(key, entry);
-        while entries.len() > self.capacity {
-            let Some((&victim, _)) = entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-            else {
-                break;
-            };
-            // In-flight `Arc<RoutedPlan>` clones stay valid: removal only
-            // drops the cache's reference.
-            let evicted = entries.remove(&victim).expect("victim key present");
-            self.bytes
-                .fetch_sub(evicted.bytes as u64, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        ) {
+            self.entries.insert(key, plan);
         }
     }
 
     /// Number of plans currently resident.
     pub fn len(&self) -> usize {
-        self.entries.read().expect("plan cache poisoned").len()
+        self.entries.len()
     }
 
     /// Whether no plan is cached.
@@ -555,19 +487,23 @@ impl PlanCache {
 
     /// Drops every cached plan. Counters are not reset.
     pub fn clear(&self) {
-        let mut entries = self.entries.write().expect("plan cache poisoned");
-        entries.clear();
-        self.bytes.store(0, Ordering::Relaxed);
+        self.entries.clear();
     }
 
     /// A snapshot of the hit/miss/eviction counters and size gauges.
+    /// Sums the resident plans' sizes: `O(capacity)`, for scrapes.
     pub fn stats(&self) -> PlanCacheStats {
+        let counts = self.entries.stats();
+        let resident = self.entries.snapshot();
         PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.len(),
-            approx_bytes: self.bytes.load(Ordering::Relaxed),
+            hits: counts.hits,
+            misses: counts.misses,
+            evictions: counts.evictions,
+            entries: resident.len(),
+            approx_bytes: resident
+                .iter()
+                .map(|(_, plan)| plan.approx_bytes() as u64)
+                .sum(),
         }
     }
 }
@@ -758,10 +694,9 @@ mod tests {
         );
 
         // Hold the plan's Arc (simulating a concurrent rebind)...
-        let held = {
-            let entries = cache.entries.read().unwrap();
-            entries.values().next().unwrap().plan.clone()
-        };
+        let held = cache
+            .lookup_plan(&a, device.graph(), None, &config)
+            .unwrap();
         // ...then evict it by inserting a different shape.
         let b = ansatz(4, 2, 0.0);
         cache.insert(

@@ -1,4 +1,4 @@
-use sabre::SabreConfig;
+use sabre::{PlanCache, SabreConfig};
 use sabre_trace::LogFormat;
 
 /// Tunable knobs of the routing service. Start from
@@ -116,7 +116,7 @@ impl Default for ServeConfig {
             read_deadline_ms: 30_000,
             write_deadline_ms: 30_000,
             idle_timeout_ms: 5000,
-            plan_cache_capacity: 512,
+            plan_cache_capacity: PlanCache::DEFAULT_CAPACITY,
             trace_capacity: 256,
             log_format: LogFormat::Text,
             slow_request_ms: 0,

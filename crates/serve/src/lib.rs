@@ -35,7 +35,7 @@
 //! | `GET /metrics` | — | Prometheus text (per-step routing ns, queue, cache) |
 //! | `GET /debug/traces` | — | newest-first ring of completed request traces (phase timings) |
 //! | `GET /devices` | — | registered devices |
-//! | `POST /devices` | `{"id", "builtin"}` or `{"id", "num_qubits", "edges"}` | register + warm the cache |
+//! | `POST /devices` | `{"id", "builtin"}` or `{"id", "num_qubits", "edges"}` | register + warm the cache (new ids past [`MAX_DEVICES`]: `409`) |
 //! | `POST /devices/{id}/noise` | noise spec | live calibration refresh (no restart) |
 //! | `POST /route` | `{"device", "circuit", "config"?}` | route one circuit |
 //! | `POST /transpile_batch` | `{"device", "circuits", …}` | full pipeline, partial-success |
@@ -79,4 +79,4 @@ mod reactor;
 mod service;
 
 pub use config::ServeConfig;
-pub use service::{start, ServeError, ServerHandle};
+pub use service::{start, ServeError, ServerHandle, MAX_DEVICES, MAX_FLEETS};

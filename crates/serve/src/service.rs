@@ -41,7 +41,7 @@ use std::io;
 use std::net::{IpAddr, SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
@@ -52,7 +52,7 @@ use sabre_circuit::Circuit;
 use sabre_json::JsonValue;
 use sabre_shard::{route_sharded, Fleet, ShardConfig};
 use sabre_topology::noise::NoiseModel;
-use sabre_topology::{CouplingGraph, DistanceBackend};
+use sabre_topology::{CouplingGraph, DistanceBackend, DEVICE_CACHE_CAPACITY};
 use sabre_trace::{SlowLog, Span, TraceRing};
 
 use crate::admission::{self, RateLimiter};
@@ -139,13 +139,74 @@ enum JobKind {
     },
 }
 
+/// Most device ids `POST /devices` (and `--preload`) will register: one
+/// per device the [`DeviceCache`] keeps preprocessed, so every registered
+/// device stays warm. Registries never evict; a new id past the cap is
+/// refused, while re-registering an existing id still replaces it.
+pub const MAX_DEVICES: usize = DEVICE_CACHE_CAPACITY;
+
+/// Most fleet ids `POST /fleets` will register (same rules as
+/// [`MAX_DEVICES`]); a fleet is only an ordered list of device ids.
+pub const MAX_FLEETS: usize = 64;
+
+/// A named registry (devices or fleets). Registries are not caches:
+/// they never evict. A new id past `cap` is refused with a message naming
+/// the cap, while re-registering an existing id replaces it.
+struct Registry<T> {
+    kind: &'static str,
+    cap: usize,
+    map: RwLock<HashMap<String, T>>,
+}
+
+impl<T> Registry<T> {
+    fn new(kind: &'static str, cap: usize) -> Self {
+        Registry {
+            kind,
+            cap,
+            map: RwLock::new(HashMap::new()),
+        }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, T>> {
+        self.map.read().expect("registry poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, T>> {
+        self.map.write().expect("registry poisoned")
+    }
+
+    /// Refuses a new `id` once the registry is full: checked before any
+    /// costly validation, and again under the write lock on insert.
+    fn admits(&self, id: &str) -> Result<(), String> {
+        self.check(&self.read(), id)
+    }
+
+    fn check(&self, map: &HashMap<String, T>, id: &str) -> Result<(), String> {
+        if map.len() >= self.cap && !map.contains_key(id) {
+            return Err(format!(
+                "{} registry is full ({} ids); re-register an existing id to replace it",
+                self.kind, self.cap
+            ));
+        }
+        Ok(())
+    }
+
+    /// Inserts `value` under `id`; reports whether an existing id was
+    /// replaced.
+    fn insert(&self, id: String, value: T) -> Result<bool, String> {
+        let mut map = self.write();
+        self.check(&map, &id)?;
+        Ok(map.insert(id, value).is_some())
+    }
+}
+
 /// Shared state of one server instance.
 pub(crate) struct RoutingService {
     pub(crate) config: ServeConfig,
     cache: DeviceCache,
-    devices: RwLock<HashMap<String, RegisteredDevice>>,
+    devices: Registry<RegisteredDevice>,
     /// Named fleets: ordered device-id lists for `POST /route_sharded`.
-    fleets: RwLock<HashMap<String, Vec<String>>>,
+    fleets: Registry<Vec<String>>,
     queue: BoundedQueue<Job>,
     pub(crate) metrics: Metrics,
     /// Completed request traces served by `GET /debug/traces`.
@@ -174,8 +235,8 @@ impl RoutingService {
         RoutingService {
             config,
             cache,
-            devices: RwLock::new(HashMap::new()),
-            fleets: RwLock::new(HashMap::new()),
+            devices: Registry::new("device", MAX_DEVICES),
+            fleets: Registry::new("fleet", MAX_FLEETS),
             queue,
             metrics: Metrics::default(),
             traces,
@@ -193,8 +254,8 @@ impl RoutingService {
             queue_depth: self.queue.len(),
             queue_capacity: self.queue.capacity(),
             workers: self.config.workers,
-            devices: self.devices.read().expect("device registry poisoned").len(),
-            fleets: self.fleets.read().expect("fleet registry poisoned").len(),
+            devices: self.devices.read().len(),
+            fleets: self.fleets.read().len(),
             draining: self.draining.load(Ordering::Relaxed),
             open_connections: self.open_connections.load(Ordering::Relaxed),
             max_connections: self.config.max_connections,
@@ -202,7 +263,7 @@ impl RoutingService {
     }
 
     fn device(&self, id: &str) -> Result<(Arc<CouplingGraph>, Option<NoiseModel>), ApiError> {
-        let devices = self.devices.read().expect("device registry poisoned");
+        let devices = self.devices.read();
         let device = devices.get(id).ok_or_else(|| {
             ApiError::not_found(format!(
                 "unknown device `{id}` (register via POST /devices)"
@@ -288,26 +349,22 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// A human-readable reason (invalid id, disconnected graph).
+    /// A human-readable reason (invalid id, disconnected graph, a new id
+    /// past [`MAX_DEVICES`]).
     pub fn register_device(&self, id: &str, graph: &CouplingGraph) -> Result<(), String> {
         if id.is_empty() || id.contains('/') || id.len() > 128 {
             return Err("device id must be non-empty, without `/`, ≤128 chars".into());
         }
+        self.service.devices.admits(id)?;
         self.service
             .cache
             .router(graph, self.service.config.default_config)
             .map_err(|e| e.to_string())?;
-        self.service
-            .devices
-            .write()
-            .expect("device registry poisoned")
-            .insert(
-                id.to_string(),
-                RegisteredDevice {
-                    graph: Arc::new(graph.clone()),
-                    noise: None,
-                },
-            );
+        let device = RegisteredDevice {
+            graph: Arc::new(graph.clone()),
+            noise: None,
+        };
+        self.service.devices.insert(id.to_string(), device)?;
         Ok(())
     }
 
@@ -530,24 +587,8 @@ fn healthz(service: &RoutingService) -> Response {
             ("queue_depth", service.queue.len().into()),
             ("queue_capacity", service.queue.capacity().into()),
             ("workers", service.config.workers.into()),
-            (
-                "devices",
-                service
-                    .devices
-                    .read()
-                    .expect("device registry poisoned")
-                    .len()
-                    .into(),
-            ),
-            (
-                "fleets",
-                service
-                    .fleets
-                    .read()
-                    .expect("fleet registry poisoned")
-                    .len()
-                    .into(),
-            ),
+            ("devices", service.devices.read().len().into()),
+            ("fleets", service.fleets.read().len().into()),
         ]),
     )
 }
@@ -565,7 +606,7 @@ fn distance_engine_name(graph: &CouplingGraph) -> &'static str {
 }
 
 fn list_devices(service: &RoutingService) -> Response {
-    let devices = service.devices.read().expect("device registry poisoned");
+    let devices = service.devices.read();
     let mut entries: Vec<(&String, &RegisteredDevice)> = devices.iter().collect();
     entries.sort_by_key(|(id, _)| id.as_str());
     Response::json(
@@ -597,6 +638,9 @@ fn register_device(service: &RoutingService, request: &Request) -> Response {
         Ok(parsed) => parsed,
         Err(e) => return Response::error(e.status, &e.message),
     };
+    if let Err(message) = service.devices.admits(&id) {
+        return Response::error(409, &message);
+    }
     // Warm the cache now: this both validates the graph (connectivity) and
     // moves the distance preprocessing out of the first request's latency
     // (dense all-pairs below the size threshold, sparse engine above it).
@@ -613,13 +657,10 @@ fn register_device(service: &RoutingService, request: &Request) -> Response {
         ("num_edges", entry.graph.num_edges().into()),
         ("distance", distance_engine_name(&entry.graph).into()),
     ]);
-    let replaced = service
-        .devices
-        .write()
-        .expect("device registry poisoned")
-        .insert(id, entry)
-        .is_some();
-    Response::json(if replaced { 200 } else { 201 }, &body)
+    match service.devices.insert(id, entry) {
+        Ok(replaced) => Response::json(if replaced { 200 } else { 201 }, &body),
+        Err(message) => Response::error(409, &message),
+    }
 }
 
 fn refresh_noise(service: &RoutingService, id: &str, request: &Request) -> Response {
@@ -632,12 +673,7 @@ fn refresh_noise(service: &RoutingService, id: &str, request: &Request) -> Respo
         Err(e) => return Response::error(e.status, &e.message),
     };
     if body.get("clear").and_then(JsonValue::as_bool) == Some(true) {
-        if let Some(device) = service
-            .devices
-            .write()
-            .expect("device registry poisoned")
-            .get_mut(id)
-        {
+        if let Some(device) = service.devices.write().get_mut(id) {
             device.noise = None;
         }
         return Response::json(
@@ -655,12 +691,7 @@ fn refresh_noise(service: &RoutingService, id: &str, request: &Request) -> Respo
         return Response::error(400, &format!("calibration rejected: {e}"));
     }
     let fingerprint = noise.fingerprint();
-    if let Some(device) = service
-        .devices
-        .write()
-        .expect("device registry poisoned")
-        .get_mut(id)
-    {
+    if let Some(device) = service.devices.write().get_mut(id) {
         // The noise was validated against the graph snapshot read above;
         // if a concurrent re-registration swapped the device's graph in
         // between, attaching it would pair a noise model with a graph it
@@ -709,17 +740,14 @@ fn register_fleet(service: &RoutingService, request: &Request) -> Response {
                 .collect(),
         ),
     ]);
-    let replaced = service
-        .fleets
-        .write()
-        .expect("fleet registry poisoned")
-        .insert(id, device_ids)
-        .is_some();
-    Response::json(if replaced { 200 } else { 201 }, &body)
+    match service.fleets.insert(id, device_ids) {
+        Ok(replaced) => Response::json(if replaced { 200 } else { 201 }, &body),
+        Err(message) => Response::error(409, &message),
+    }
 }
 
 fn list_fleets(service: &RoutingService) -> Response {
-    let fleets = service.fleets.read().expect("fleet registry poisoned");
+    let fleets = service.fleets.read();
     let mut entries: Vec<(&String, &Vec<String>)> = fleets.iter().collect();
     entries.sort_by_key(|(id, _)| id.as_str());
     Response::json(
@@ -760,15 +788,9 @@ fn parse_sharded_request(service: &RoutingService, body: &JsonValue) -> Result<J
             let id = fleet
                 .as_str()
                 .ok_or_else(|| ApiError::bad_request("\"fleet\" must name a registered fleet"))?;
-            service
-                .fleets
-                .read()
-                .expect("fleet registry poisoned")
-                .get(id)
-                .cloned()
-                .ok_or_else(|| {
-                    ApiError::not_found(format!("unknown fleet `{id}` (register via POST /fleets)"))
-                })?
+            service.fleets.read().get(id).cloned().ok_or_else(|| {
+                ApiError::not_found(format!("unknown fleet `{id}` (register via POST /fleets)"))
+            })?
         }
         (None, Some(devices)) => api::parse_device_id_list(devices)?,
         (None, None) => {

@@ -16,14 +16,16 @@
 //!   (`O(N·E·log N)`).
 //! - **Sparse** (above the threshold): no matrix at all. Each requested
 //!   row is computed on demand by the same binary-heap Dijkstra,
-//!   `O(E + N log N)` per row, and kept in a bounded LRU cache
-//!   ([`ROW_CACHE_CAPACITY`] rows), so memory stays
-//!   `O(E + capacity·N)` — flat in the number of *pairs*. The LRU sits
-//!   behind a `Mutex` and a hash probe, so the router does not read it
-//!   per candidate: a traversal pins each row it needs the first time it
+//!   `O(E + N log N)` per row, and kept in the workspace's one bounded
+//!   cache, a [`BoundedLru`] of [`ROW_CACHE_CAPACITY`] rows, so memory
+//!   stays `O(E + capacity·N)` — flat in the number of *pairs*. A row
+//!   fetch takes the LRU's lock, so the router does not read it per
+//!   candidate: a traversal pins each row it needs the first time it
 //!   needs it and reads the pinned slice until the front layer changes,
-//!   touching the LRU only on a pin miss. A poisoned cache lock is
-//!   recovered, never propagated: the cache is pure memoization.
+//!   touching the LRU only on a pin miss. A row is computed under that
+//!   lock, so restarts sharing the matrix compute each row once; a panic
+//!   there is recovered, never propagated (the cache is pure
+//!   memoization).
 //!
 //! Both backends produce **bit-identical values**: the sparse engine's
 //! per-source sweep is the same function the dense
@@ -35,11 +37,11 @@
 //! [`WeightedDistanceMatrix::floyd_warshall`] is kept as the test
 //! oracle the row engine is checked against.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-use crate::{CouplingGraph, Qubit};
+use crate::{BoundedLru, CouplingGraph, Qubit};
 
 /// Devices up to this many qubits use the dense all-pairs backend in the
 /// [`WeightedDistanceMatrix::auto`] policy; larger devices get the sparse
@@ -54,7 +56,7 @@ use crate::{CouplingGraph, Qubit};
 /// [`WeightedDistanceMatrix::with_backend`].
 pub const DENSE_DISTANCE_THRESHOLD: u32 = 128;
 
-/// Rows held by a sparse engine's LRU cache. Bounds sparse-backend
+/// Rows held by a sparse engine's [`BoundedLru`]. Bounds sparse-backend
 /// memory at `O(`[`ROW_CACHE_CAPACITY`]`·N)` regardless of how many
 /// distinct sources are queried; eviction recomputes on the next touch
 /// (one Dijkstra sweep, `O(E + N log N)`) and can never change a value.
@@ -67,6 +69,32 @@ pub const DENSE_DISTANCE_THRESHOLD: u32 = 128;
 /// smaller than the working set degrades into recomputing a row per
 /// lookup (measured ~50× slower routing at 256 rows on grid 33×33).
 pub const ROW_CACHE_CAPACITY: usize = 1024;
+
+/// Devices a `sabre::DeviceCache` keeps preprocessed. Each entry holds a
+/// graph and its hop matrix: at most 128 KiB dense, or `O(E)` plus up to
+/// [`ROW_CACHE_CAPACITY`] rows (~9 MiB on a 1089-qubit grid) sparse. A
+/// service routes against a handful of devices; 64 covers a large fleet
+/// while capping the worst case (all kilo-qubit) near 600 MiB.
+pub const DEVICE_CACHE_CAPACITY: usize = 64;
+
+/// `(device, calibration)` noise-weighted matrices a `sabre::DeviceCache`
+/// keeps, sized like a hop matrix each. A calibration refresh drops the
+/// device's superseded matrices, so steady state is one per noisy device:
+/// the same 64 as [`DEVICE_CACHE_CAPACITY`].
+pub const NOISE_CACHE_CAPACITY: usize = 64;
+
+/// Embedding-probe verdicts a `sabre::EmbeddingVerdictCache` keeps, one
+/// per `(device, interaction graph, budget)`, each holding a copy of the
+/// circuit's interaction graph: 1–2 KiB for the 8–20-qubit circuits a
+/// service mostly probes, ~15 KiB for a 200-qubit one, so at most a few
+/// tens of MiB. A service probes once per fresh structure: routebench's
+/// `serve_vqa_mix` sends ~50 a second on a 2-vCPU host, so the store
+/// fills in ~80 s and then evicts the least recently probed. Re-probing
+/// an evicted verdict costs ~12 µs on Tokyo and ~0.6 ms on a 200-qubit
+/// circuit, under 1% of its route. In 150 s runs of that workload (~3,000
+/// verdicts evicted) probes exceeded fresh structures by 3, against 2
+/// with an unbounded store.
+pub const VERDICT_CACHE_CAPACITY: usize = 4096;
 
 /// Backend selection for [`WeightedDistanceMatrix::with_backend`]: the
 /// automatic size-thresholded policy, or an explicit override
@@ -146,54 +174,6 @@ impl<'a> DistanceRow<'a> {
     }
 }
 
-/// A bounded LRU of computed rows keyed by source qubit. Values are
-/// `Arc`-shared so eviction is safe while callers still hold a
-/// [`DistanceRow`]. Pure cache: hit/miss state never affects the values
-/// anyone observes.
-#[derive(Debug)]
-struct RowCache {
-    tick: u64,
-    rows: HashMap<u32, (u64, Arc<[f64]>)>,
-}
-
-impl RowCache {
-    fn new() -> Self {
-        RowCache {
-            tick: 0,
-            rows: HashMap::new(),
-        }
-    }
-
-    fn fetch(&mut self, source: u32, compute: impl FnOnce() -> Vec<f64>) -> Arc<[f64]> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((stamp, row)) = self.rows.get_mut(&source) {
-            *stamp = tick;
-            return Arc::clone(row);
-        }
-        let row: Arc<[f64]> = compute().into();
-        if self.rows.len() >= ROW_CACHE_CAPACITY {
-            // Evict the least-recently used row. Ticks are unique, so the
-            // victim is deterministic; the row itself stays alive for any
-            // caller still holding its Arc.
-            if let Some(&victim) = self
-                .rows
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k)
-            {
-                self.rows.remove(&victim);
-            }
-        }
-        self.rows.insert(source, (tick, Arc::clone(&row)));
-        row
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-}
-
 /// The sparse engine: graph, per-edge weights (indexed by dense edge id),
 /// and an LRU of Dijkstra rows. `O(N + E)` resident,
 /// `O(E + N log N)` per row miss.
@@ -202,22 +182,30 @@ struct SparseWeighted {
     graph: CouplingGraph,
     /// Weight of each coupling, indexed by [`CouplingGraph::edge_index`].
     edge_weights: Arc<[f64]>,
-    cache: Mutex<RowCache>,
+    cache: BoundedLru<u32, [f64]>,
 }
 
 impl SparseWeighted {
+    fn new(graph: CouplingGraph, edge_weights: Arc<[f64]>) -> Self {
+        SparseWeighted {
+            graph,
+            edge_weights,
+            cache: BoundedLru::new(ROW_CACHE_CAPACITY),
+        }
+    }
+
     fn row(&self, a: Qubit) -> Arc<[f64]> {
-        lock_rows(&self.cache).fetch(a.0, || dijkstra_row(&self.graph, &self.edge_weights, a))
+        self.cache
+            .get_or_insert_locked(a.0, || dijkstra_row(&self.graph, &self.edge_weights, a))
     }
 }
 
-/// Locks a row cache, recovering it if a thread panicked while holding it
-/// (a row computation for an out-of-range source, say). Every update
-/// leaves the cache valid: a row is inserted only once fully computed,
-/// and a panic before that leaves at most a bumped tick. So the recovered
-/// cache holds only correct rows.
-fn lock_rows(cache: &Mutex<RowCache>) -> MutexGuard<'_, RowCache> {
-    cache.lock().unwrap_or_else(PoisonError::into_inner)
+impl Clone for SparseWeighted {
+    /// Shares the packed weights and starts an empty row cache, so a
+    /// cloned sparse matrix answers the same values.
+    fn clone(&self) -> Self {
+        SparseWeighted::new(self.graph.clone(), Arc::clone(&self.edge_weights))
+    }
 }
 
 /// Min-heap entry for Dijkstra: ordered by cost ascending, ties broken
@@ -340,13 +328,13 @@ where
 /// assert_eq!(d.get(Qubit(0), Qubit(3)), 3.0);
 /// assert_eq!(d.get(Qubit(2), Qubit(2)), 0.0);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct WeightedDistanceMatrix {
     n: usize,
     backend: WeightedBackend,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum WeightedBackend {
     /// Row-major `n × n`; `f64::INFINITY` marks unreachable pairs.
     Dense(Vec<f64>),
@@ -441,14 +429,10 @@ impl WeightedDistanceMatrix {
     where
         F: FnMut(Qubit, Qubit) -> f64,
     {
-        let edge_weights: Arc<[f64]> = pack_edge_weights(graph, weight).into();
+        let engine = SparseWeighted::new(graph.clone(), pack_edge_weights(graph, weight).into());
         WeightedDistanceMatrix {
             n: graph.num_qubits() as usize,
-            backend: WeightedBackend::Sparse(Box::new(SparseWeighted {
-                graph: graph.clone(),
-                edge_weights,
-                cache: Mutex::new(RowCache::new()),
-            })),
+            backend: WeightedBackend::Sparse(Box::new(engine)),
         }
     }
 
@@ -550,28 +534,7 @@ impl WeightedDistanceMatrix {
     pub fn cached_rows(&self) -> usize {
         match &self.backend {
             WeightedBackend::Dense(_) => 0,
-            WeightedBackend::Sparse(engine) => lock_rows(&engine.cache).len(),
-        }
-    }
-}
-
-impl Clone for WeightedDistanceMatrix {
-    /// Cloning a sparse matrix shares the packed weights and starts an
-    /// empty row cache — values are unaffected.
-    fn clone(&self) -> Self {
-        match &self.backend {
-            WeightedBackend::Dense(data) => WeightedDistanceMatrix {
-                n: self.n,
-                backend: WeightedBackend::Dense(data.clone()),
-            },
-            WeightedBackend::Sparse(engine) => WeightedDistanceMatrix {
-                n: self.n,
-                backend: WeightedBackend::Sparse(Box::new(SparseWeighted {
-                    graph: engine.graph.clone(),
-                    edge_weights: Arc::clone(&engine.edge_weights),
-                    cache: Mutex::new(RowCache::new()),
-                })),
-            },
+            WeightedBackend::Sparse(engine) => engine.cache.len(),
         }
     }
 }

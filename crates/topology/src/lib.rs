@@ -14,6 +14,11 @@
 //!   store the dense all-pairs matrix; kilo-qubit devices answer from an
 //!   on-demand sparse row engine (Dijkstra rows behind an LRU) — same
 //!   values, flat memory. [`DENSE_DISTANCE_THRESHOLD`] is the crossover.
+//! - [`BoundedLru`]: the one bounded cache every memo map in the
+//!   workspace sits on (distance rows here; routed plans, device
+//!   preprocessing, noise-weighted matrices and probe verdicts in
+//!   `sabre`), with `O(1)` touch and evict and counters that outlive
+//!   evictions. The `*_CAPACITY` constants are the bounds.
 //! - [`devices`]: a zoo of concrete device models — the IBM Q20 Tokyo graph
 //!   of Figure 2 with its published error rates, older IBM chips, and
 //!   parametric generators (linear, ring, grid, star, complete, heavy-hex).
@@ -42,14 +47,16 @@ pub mod direction;
 mod distance;
 pub mod embedding;
 mod graph;
+mod lru;
 pub mod noise;
 
 pub use csr::CsrAdjacency;
 pub use distance::{
     DistanceBackend, DistanceRow, WeightedDistanceMatrix, DENSE_DISTANCE_THRESHOLD,
-    ROW_CACHE_CAPACITY,
+    DEVICE_CACHE_CAPACITY, NOISE_CACHE_CAPACITY, ROW_CACHE_CAPACITY, VERDICT_CACHE_CAPACITY,
 };
 pub use graph::{CouplingGraph, TopologyError};
+pub use lru::{BoundedLru, LruStats};
 
 // Physical qubits are indexed with the same newtype as circuit wires; the
 // router's `Layout` relates the two interpretations.

@@ -24,7 +24,7 @@ use sabre::{SabreConfig, SabreRouter};
 use sabre_circuit::{Circuit, Qubit};
 use sabre_json::JsonValue;
 use sabre_qasm::to_qasm;
-use sabre_serve::{start, ServeConfig, ServerHandle};
+use sabre_serve::{start, ServeConfig, ServerHandle, MAX_DEVICES, MAX_FLEETS};
 use sabre_topology::devices;
 use sabre_topology::noise::NoiseModel;
 
@@ -364,6 +364,70 @@ fn noise_refresh_changes_routing_without_restart() {
         hops.get("result").unwrap().get("best").unwrap(),
         before.get("result").unwrap().get("best").unwrap(),
     );
+    handle.shutdown();
+}
+
+#[test]
+fn registries_refuse_new_ids_past_their_caps_but_still_replace() {
+    let handle = server(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let error = |response: &JsonValue| response.get("error").unwrap().as_str().unwrap().to_string();
+    for i in 0..MAX_DEVICES {
+        register(addr, &format!("d{i}"), "linear:3");
+    }
+    // The device cache's graph counters: a refused id must not warm it.
+    let graph_counters = || {
+        let (_, _, text) = http(addr, "GET", "/metrics", None);
+        let counters: Vec<String> = text
+            .lines()
+            .filter(|l| l.starts_with("sabre_serve_cache_graph_"))
+            .map(str::to_string)
+            .collect();
+        assert_eq!(counters.len(), 2, "{text}");
+        counters
+    };
+    let before = graph_counters();
+    let device = |id: &str, builtin: &str| {
+        JsonValue::object([("id", id.into()), ("builtin", builtin.into())])
+    };
+    let (status, response) = post_json(addr, "/devices", &device("one-too-many", "ring:5"));
+    assert_eq!(status, 409, "{response}");
+    assert!(
+        error(&response).contains(&format!("{MAX_DEVICES} ids")),
+        "{response}"
+    );
+    let err = handle
+        .register_device("preloaded", devices::ring(6).graph())
+        .unwrap_err();
+    assert!(err.contains(&format!("{MAX_DEVICES} ids")), "{err}");
+    assert_eq!(graph_counters(), before, "a refused id warmed the cache");
+    let (status, response) = post_json(addr, "/devices", &device("d0", "linear:3"));
+    assert_eq!(status, 200, "re-registering replaces: {response}");
+    handle
+        .register_device("d1", devices::ring(3).graph())
+        .expect("preload replaces an existing id");
+
+    let fleet = |id: &str| {
+        JsonValue::object([
+            ("id", id.into()),
+            ("devices", JsonValue::array(["d0".into()])),
+        ])
+    };
+    for i in 0..MAX_FLEETS {
+        let (status, response) = post_json(addr, "/fleets", &fleet(&format!("f{i}")));
+        assert_eq!(status, 201, "{response}");
+    }
+    let (status, response) = post_json(addr, "/fleets", &fleet("one-too-many"));
+    assert_eq!(status, 409, "{response}");
+    assert!(
+        error(&response).contains(&format!("{MAX_FLEETS} ids")),
+        "{response}"
+    );
+    let (status, response) = post_json(addr, "/fleets", &fleet("f0"));
+    assert_eq!(status, 200, "{response}");
     handle.shutdown();
 }
 
