@@ -7,8 +7,8 @@
 //! candidate sweep over the delta scorer — and their relative weight is
 //! strongly topology- and circuit-dependent. [`RouteProfile`] reports
 //! per-phase wall time plus the event counters the heuristic's dynamics
-//! expose (candidates scored, decay resets, forced routings, per-
-//! traversal step counts).
+//! expose (candidates scored, clean steps, decay resets, forced
+//! routings, per-traversal step counts).
 //!
 //! # Bit-identity contract
 //!
@@ -37,6 +37,10 @@ pub struct RouteProfile {
     /// Search steps across all profiled traversals — one per inserted
     /// SWAP, forced routings included.
     pub search_steps: u64,
+    /// Scored search steps whose front layer was unchanged by the
+    /// previous SWAP, so the scoring tables were patched in place rather
+    /// than rebuilt. Always ≤ `search_steps`.
+    pub clean_steps: u64,
     /// Nanoseconds in front-layer maintenance: the execute-drain loop
     /// plus the front rebuild.
     pub front_ns: u64,
@@ -69,6 +73,7 @@ impl RouteProfile {
     pub fn merge(&mut self, other: &RouteProfile) {
         self.traversals += other.traversals;
         self.search_steps += other.search_steps;
+        self.clean_steps += other.clean_steps;
         self.front_ns += other.front_ns;
         self.extended_set_ns += other.extended_set_ns;
         self.scoring_ns += other.scoring_ns;
@@ -85,6 +90,7 @@ impl RouteProfile {
         JsonValue::object([
             ("traversals", self.traversals.into()),
             ("search_steps", self.search_steps.into()),
+            ("clean_steps", self.clean_steps.into()),
             ("front_ns", self.front_ns.into()),
             ("extended_set_ns", self.extended_set_ns.into()),
             ("scoring_ns", self.scoring_ns.into()),
@@ -148,11 +154,14 @@ impl ProfileCollector {
         }
     }
 
+    /// Closes one scored step: `clean` when its front layer was
+    /// unchanged and the scoring tables were patched in place.
     #[inline]
-    pub(crate) fn add_scoring(&mut self, span: Span, candidates: usize) {
+    pub(crate) fn add_scoring(&mut self, span: Span, candidates: usize, clean: bool) {
         if let ProfileCollector::On(p) = self {
             p.scoring_ns += span.elapsed_ns();
             p.candidates_scored += candidates as u64;
+            p.clean_steps += u64::from(clean);
         }
     }
 
@@ -187,7 +196,7 @@ mod tests {
         assert!(!c.clock().is_enabled());
         let span = c.clock().start();
         c.add_front(span);
-        c.add_scoring(span, 17);
+        c.add_scoring(span, 17, true);
         c.finish_traversal(5, 1, 2);
         assert_eq!(c.take(), None);
     }
@@ -196,13 +205,14 @@ mod tests {
     fn enabled_collector_accumulates_counters() {
         let mut c = ProfileCollector::new(true);
         assert!(c.clock().is_enabled());
-        c.add_scoring(c.clock().start(), 12);
-        c.add_scoring(c.clock().start(), 8);
+        c.add_scoring(c.clock().start(), 12, false);
+        c.add_scoring(c.clock().start(), 8, true);
         c.finish_traversal(9, 0, 3);
         c.finish_traversal(4, 1, 1);
         let p = c.take().expect("profile collected");
         assert_eq!(p.traversals, 2);
         assert_eq!(p.search_steps, 13);
+        assert_eq!(p.clean_steps, 1);
         assert_eq!(p.candidates_scored, 20);
         assert_eq!(p.decay_resets, 4);
         assert_eq!(p.forced_routings, 1);
@@ -214,6 +224,7 @@ mod tests {
         let mut a = RouteProfile {
             traversals: 1,
             search_steps: 10,
+            clean_steps: 7,
             front_ns: 100,
             extended_set_ns: 50,
             scoring_ns: 200,
@@ -225,6 +236,7 @@ mod tests {
         let b = RouteProfile {
             traversals: 2,
             search_steps: 6,
+            clean_steps: 4,
             front_ns: 30,
             extended_set_ns: 20,
             scoring_ns: 60,
@@ -236,6 +248,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.traversals, 3);
         assert_eq!(a.search_steps, 16);
+        assert_eq!(a.clean_steps, 11);
         assert_eq!(a.hot_loop_ns(), 130 + 70 + 260);
         assert_eq!(a.per_traversal_steps, vec![10, 2, 4]);
     }
@@ -245,6 +258,7 @@ mod tests {
         let p = RouteProfile {
             traversals: 3,
             search_steps: 21,
+            clean_steps: 15,
             front_ns: 1_000,
             extended_set_ns: 2_000,
             scoring_ns: 3_000,
@@ -255,6 +269,7 @@ mod tests {
         };
         let json = p.to_json();
         assert_eq!(json.get("search_steps").unwrap().as_u64(), Some(21));
+        assert_eq!(json.get("clean_steps").unwrap().as_u64(), Some(15));
         assert_eq!(json.get("hot_loop_ns").unwrap().as_u64(), Some(6_000));
         let steps: Vec<u64> = json
             .get("per_traversal_steps")

@@ -26,11 +26,10 @@ use crate::router::{force_route, DecayState, SCORE_EPSILON};
 use crate::{Layout, RoutedCircuit, SabreConfig};
 
 /// The candidate-sweep scratch exactly as the seed hot loop had it:
-/// first-encounter ordering and bitset dedup, but with an
+/// first-encounter ordering and bitset dedup, with an
 /// [`CouplingGraph::edge_index`] binary search per neighbor visit and per
-/// cleared bit (the cost the production scratch in [`crate::search`]
-/// replaced with the precomputed
-/// [`CouplingGraph::neighbor_edge_ids`] table).
+/// cleared bit. The production engine in [`crate::search`] produces the
+/// same order from per-endpoint segments and needs neither.
 struct CandidateScratch {
     seen: Vec<bool>,
     buf: Vec<(Qubit, Qubit)>,

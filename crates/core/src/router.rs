@@ -9,9 +9,11 @@
 //!
 //! The inner loop runs on the incremental engine of the crate-private
 //! `search` module: delta-scored candidates over a persistent
-//! `SearchState`, zero heap allocations per steady-state search step, and
-//! distance rows pinned per front layer so a sparse matrix's row cache is
-//! touched only on a pin miss. The original engine survives verbatim in
+//! `SearchState`, zero heap allocations per steady-state search step,
+//! in-place table and candidate updates on the steps whose SWAP left the
+//! front layer unchanged, and distance rows pinned for the traversal so a
+//! sparse matrix's row cache is touched only on a pin miss. The original
+//! engine survives verbatim in
 //! [`crate::reference`] as the differential-testing and benchmarking
 //! baseline; `tests/hot_loop_equivalence.rs` pins the two to identical
 //! output.
@@ -130,12 +132,16 @@ pub(crate) fn route_pass_prepared(
     // (and with it the extended set, which depends only on front
     // membership and the DAG, never on the layout) is provably unchanged
     // — the execute-drain scan, front rebuild, and extended-set BFS are
-    // all skipped. Only gates with a physical endpoint on the swapped
-    // pair can change executability, so the dirtiness check is O(|F|).
+    // all skipped, and the scoring tables are patched for the one SWAP
+    // instead of rebuilt. Only gates with a physical endpoint on the
+    // swapped pair can change executability, so the dirtiness check reads
+    // at most two front gates.
     let mut front_dirty = true;
-    // Distance rows this front layer reads. Released whenever the front
-    // changes, so the pins track the working set rather than every row
-    // the traversal ever touched.
+    // The SWAP the previous step committed: what a clean step patches.
+    let mut last_swap = (Qubit(0), Qubit(0));
+    // Distance rows this traversal reads, pinned on first read and kept
+    // for the rest of the traversal; the table releases every pin only
+    // when a new one would take it past `ROW_CACHE_CAPACITY` rows.
     let mut pins = RowPins::new(dist);
     // Phase spans: dead (no clock read) unless the collector is On.
     let clock = collector.clock();
@@ -235,38 +241,54 @@ pub(crate) fn route_pass_prepared(
         }
 
         let scoring_span = clock.start();
-        if front_dirty {
-            pins.release();
+        let clean = !front_dirty;
+        if clean {
+            // Same front and extended set, layout moved on one pair:
+            // patch the table and the candidate segments the SWAP
+            // touched instead of rebuilding them.
+            state.incidence.apply_swap(
+                circuit,
+                &mut pins,
+                &layout,
+                &state.front,
+                &state.extended,
+                last_swap,
+            );
+            state.candidates.apply_swap(graph, last_swap);
+        } else {
+            state
+                .incidence
+                .prepare(circuit, &mut pins, &layout, &state.front, &state.extended);
+            state
+                .candidates
+                .rebuild(circuit, graph, &layout, &state.front);
         }
-        state
-            .incidence
-            .prepare(circuit, &mut pins, &layout, &state.front, &state.extended);
-        let candidates = state
-            .candidates
-            .collect(circuit, graph, &layout, &state.front);
         debug_assert!(
-            !candidates.is_empty(),
+            state.candidates.len() > 0,
             "connected device always has candidates"
         );
 
-        // Delta-scored sweep: each candidate costs O(incident gates), not
-        // O(|F| + |E|), and the layout is never touched.
+        // Delta-scored sweep over the candidate segments: each candidate
+        // costs O(incident gates), not O(|F| + |E|), and the layout is
+        // never touched.
         let mut best_score = f64::INFINITY;
         state.best.clear();
-        for &swap in candidates {
-            let score = state
-                .incidence
-                .score(&mut pins, config, decay.values(), swap);
-            if score < best_score - SCORE_EPSILON {
-                best_score = score;
-                state.best.clear();
-                state.best.push(swap);
-            } else if (score - best_score).abs() <= SCORE_EPSILON {
-                state.best.push(swap);
+        for segment in state.candidates.segments() {
+            for &swap in segment {
+                let score = state
+                    .incidence
+                    .score(&mut pins, config, decay.values(), swap);
+                if score < best_score - SCORE_EPSILON {
+                    best_score = score;
+                    state.best.clear();
+                    state.best.push(swap);
+                } else if (score - best_score).abs() <= SCORE_EPSILON {
+                    state.best.push(swap);
+                }
             }
         }
         let (sa, sb) = state.best[rng.gen_range(0..state.best.len())];
-        collector.add_scoring(scoring_span, candidates.len());
+        collector.add_scoring(scoring_span, state.candidates.len(), clean);
 
         // Commit: emit the SWAP, update π, bump decay.
         out.swap(sa, sb);
@@ -275,18 +297,22 @@ pub(crate) fn route_pass_prepared(
         search_steps += 1;
         swaps_since_progress += 1;
         decay.on_swap_selected(sa, sb);
+        last_swap = (sa, sb);
 
         // The front changes only if the SWAP made a front gate executable.
         // At a stall every ready gate is a blocked two-qubit gate (the
         // drain retires one-qubit gates unconditionally), and a gate
         // neither of whose endpoints sits on the swapped pair kept both
-        // physical positions — still blocked. So: dirty ⇔ some touched
-        // front gate is now coupled.
-        front_dirty = state.front.iter().any(|&idx| {
-            let (a, b) = circuit.gates()[idx].qubits();
-            let b = b.expect("front gates are two-qubit");
-            let (pa, pb) = (layout.phys_of(a), layout.phys_of(b));
-            (pa == sa || pa == sb || pb == sa || pb == sb) && graph.are_coupled(pa, pb)
+        // physical positions — still blocked. So: dirty ⇔ the front gate
+        // that had an endpoint on `sa` or on `sb` (at most one each, found
+        // through the candidates' owner table, which still describes the
+        // pre-SWAP layout) is now coupled.
+        front_dirty = [sa, sb].into_iter().any(|q| {
+            state.candidates.front_slot_on(q).is_some_and(|slot| {
+                let (a, b) = circuit.gates()[state.front[slot]].qubits();
+                let b = b.expect("front gates are two-qubit");
+                graph.are_coupled(layout.phys_of(a), layout.phys_of(b))
+            })
         });
     }
 
@@ -308,13 +334,16 @@ pub(crate) fn route_pass_prepared(
 /// after a forced routing invalidates the accumulated state.
 pub(crate) struct DecayState {
     values: Vec<f64>,
+    /// Qubits bumped since the last reset, possibly repeated: every other
+    /// value is still 1.0, so a reset restores only these — `O(bumped)`,
+    /// not `O(N)`. At most two per SWAP selected since the reset.
+    bumped: Vec<u32>,
     swaps_since_reset: u32,
     delta: f64,
     reset_interval: u32,
     /// How many times the table reset — search-dynamics telemetry for
     /// the [`crate::RouteProfile`] collector. Always counted (one `u64`
-    /// increment inside a loop that already touches every value), never
-    /// read by the search itself.
+    /// increment per reset), never read by the search itself.
     pub(crate) resets: u64,
 }
 
@@ -322,6 +351,7 @@ impl DecayState {
     pub(crate) fn new(n_phys: usize, config: &SabreConfig) -> Self {
         DecayState {
             values: vec![1.0; n_phys],
+            bumped: Vec::new(),
             swaps_since_reset: 0,
             delta: config.decay_delta,
             reset_interval: config.decay_reset_interval,
@@ -334,8 +364,8 @@ impl DecayState {
     }
 
     fn reset(&mut self) {
-        for v in &mut self.values {
-            *v = 1.0;
+        for q in self.bumped.drain(..) {
+            self.values[q as usize] = 1.0;
         }
         self.swaps_since_reset = 0;
         self.resets += 1;
@@ -350,6 +380,7 @@ impl DecayState {
     pub(crate) fn on_swap_selected(&mut self, a: Qubit, b: Qubit) {
         self.values[a.index()] += self.delta;
         self.values[b.index()] += self.delta;
+        self.bumped.extend([a.0, b.0]);
         self.swaps_since_reset += 1;
         if self.swaps_since_reset >= self.reset_interval {
             self.reset();
@@ -602,7 +633,8 @@ mod tests {
         c.cx(Qubit(0), Qubit(19));
         let layout = Layout::identity(20);
         let mut scratch = CandidateScratch::new(g.graph());
-        let cands = scratch.collect(&c, g.graph(), &layout, &[0]).to_vec();
+        scratch.rebuild(&c, g.graph(), &layout, &[0]);
+        let cands = scratch.to_vec();
         for (a, b) in &cands {
             assert!(
                 *a == Qubit(0) || *b == Qubit(0) || *a == Qubit(19) || *b == Qubit(19),
@@ -619,7 +651,7 @@ mod tests {
     #[test]
     fn candidate_scratch_dedupes_and_resets_between_steps() {
         // Two front gates sharing physical neighborhoods: the shared edges
-        // must appear exactly once, and a second collect with a different
+        // must appear exactly once, and a second rebuild with a different
         // front must not leak state from the first.
         let g = devices::star(5); // hub Q0, leaves Q1..Q4
         let mut c = Circuit::new(5);
@@ -628,7 +660,8 @@ mod tests {
         let layout = Layout::identity(5);
         let mut scratch = CandidateScratch::new(g.graph());
 
-        let both = scratch.collect(&c, g.graph(), &layout, &[0, 1]).to_vec();
+        scratch.rebuild(&c, g.graph(), &layout, &[0, 1]);
+        let both = scratch.to_vec();
         // Every leaf couples only to the hub: 4 distinct edges, no dupes.
         assert_eq!(both.len(), 4);
         let mut dedup = both.clone();
@@ -636,8 +669,9 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), both.len(), "candidates contain duplicates");
 
-        let second = scratch.collect(&c, g.graph(), &layout, &[0]).to_vec();
-        assert_eq!(second.len(), 2, "stale seen-bits leaked into next step");
+        scratch.rebuild(&c, g.graph(), &layout, &[0]);
+        let second = scratch.to_vec();
+        assert_eq!(second.len(), 2, "stale owners leaked into next step");
         for edge in &second {
             assert!(both.contains(edge));
         }

@@ -21,8 +21,9 @@
 //!   stays `O(E + capacity·N)` — flat in the number of *pairs*. A row
 //!   fetch takes the LRU's lock, so the router does not read it per
 //!   candidate: a traversal pins each row it needs the first time it
-//!   needs it and reads the pinned slice until the front layer changes,
-//!   touching the LRU only on a pin miss. A row is computed under that
+//!   needs it and reads the pinned slice for the rest of the traversal
+//!   (at most [`ROW_CACHE_CAPACITY`] pins at a time), touching the LRU
+//!   only on a pin miss. A row is computed under that
 //!   lock, so restarts sharing the matrix compute each row once; a panic
 //!   there is recovered, never propagated (the cache is pure
 //!   memoization).

@@ -111,6 +111,22 @@ fn engines_agree_on_deep_grid_workload() {
 }
 
 #[test]
+fn engines_agree_on_clean_step_heavy_kilo_grid() {
+    // Past the dense threshold: a 200-qubit circuit on grid 33×33 with
+    // sparse hop rows, the `kilo_sparse` benchmark shape. Most SWAPs here
+    // leave the front layer unchanged, so the in-place incidence and
+    // candidate updates and the traversal-lifetime row pins carry most
+    // steps; every other case runs on ≤ 100 qubits, where such clean
+    // steps are rare.
+    let graph = devices::grid(33, 33).graph().clone();
+    let dist = WeightedDistanceMatrix::hops(&graph);
+    assert!(dist.is_sparse());
+    let circuit = random::random_circuit(200, 500, 0.9, 1);
+    let config = SabreConfig::fast();
+    assert_engines_agree(&circuit, &graph, &dist, &config, "grid33x33/200q");
+}
+
+#[test]
 fn engines_agree_under_forced_routing() {
     // Zero-cost matrix: every score ties, the search random-walks, and the
     // livelock guard fires — the forced-routing path and its decay/telemetry

@@ -143,6 +143,10 @@ fn profiled_route_echoes_trace_id_and_reports_phases() {
     };
     assert!(field("traversals") > 0);
     assert!(field("search_steps") > 0);
+    assert!(
+        field("clean_steps") <= field("search_steps"),
+        "clean steps are a subset of search steps: {profile}"
+    );
     assert!(field("candidates_scored") > 0);
     assert!(field("scoring_ns") > 0, "scoring ran: {profile}");
     let hot_loop = field("hot_loop_ns");
