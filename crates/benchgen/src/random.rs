@@ -184,19 +184,6 @@ fn shuffle<T>(slice: &mut [T], rng: &mut StdRng) {
     }
 }
 
-/// A SWAP-free circuit that is pure CX chain over a line — handy as a
-/// worst-case-free sanity workload.
-pub fn cx_chain(num_qubits: u32, rounds: usize) -> Circuit {
-    assert!(num_qubits >= 2);
-    let mut c = Circuit::with_name(num_qubits, format!("cx_chain_{num_qubits}"));
-    for _ in 0..rounds {
-        for i in 0..num_qubits - 1 {
-            c.cx(Qubit(i), Qubit(i + 1));
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,13 +263,5 @@ mod tests {
         assert_eq!(ig.num_edges(), 2);
         assert!(ig.weight(Qubit(0), Qubit(1)) > 0);
         assert!(ig.weight(Qubit(3), Qubit(4)) > 0);
-    }
-
-    #[test]
-    fn cx_chain_structure() {
-        let c = cx_chain(5, 3);
-        assert_eq!(c.num_gates(), 12);
-        let ig = InteractionGraph::of(&c);
-        assert_eq!(ig.max_degree(), 2);
     }
 }

@@ -154,30 +154,6 @@ impl DependencyDag {
             .collect()
     }
 
-    /// A topological order of the gates (program order is always one, but
-    /// this derives it from the edges, which tests use as an invariant).
-    pub fn topological_order(&self) -> Vec<usize> {
-        let mut indeg: Vec<usize> = (0..self.num_nodes())
-            .map(|i| self.predecessors(i).len())
-            .collect();
-        let mut order = self.initial_front();
-        order.reserve(self.num_nodes() - order.len());
-        // `order` with a moving head is the FIFO queue.
-        let mut head = 0;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            for &v in self.successors(u) {
-                let v = v as usize;
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    order.push(v);
-                }
-            }
-        }
-        order
-    }
-
     /// Collects up to `limit` two-qubit gate indices reachable from the
     /// given front gates by breadth-first search — the **extended set**
     /// `E` of paper §IV-D used for the look-ahead term of Equation 2.
@@ -347,11 +323,6 @@ impl ExecutionFrontier {
         !self.executed[idx] && self.remaining_preds[idx] == 0
     }
 
-    /// Whether gate `idx` has been executed.
-    pub fn is_executed(&self, idx: usize) -> bool {
-        self.executed[idx]
-    }
-
     /// Number of gates executed so far.
     pub fn num_executed(&self) -> usize {
         self.num_executed
@@ -483,23 +454,6 @@ mod tests {
         let dag = DependencyDag::new(&c);
         assert_eq!(dag.predecessors(1), &[0], "one edge, not two");
         assert_eq!(dag.successors(0), &[1]);
-    }
-
-    #[test]
-    fn topological_order_is_valid() {
-        let c = fig4();
-        let dag = DependencyDag::new(&c);
-        let order = dag.topological_order();
-        assert_eq!(order.len(), c.num_gates());
-        let mut pos = vec![0; order.len()];
-        for (i, &g) in order.iter().enumerate() {
-            pos[g] = i;
-        }
-        for v in 0..dag.num_nodes() {
-            for &u in dag.predecessors(v) {
-                assert!(pos[u as usize] < pos[v], "edge {u}->{v} violated");
-            }
-        }
     }
 
     #[test]

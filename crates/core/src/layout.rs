@@ -144,11 +144,6 @@ impl Layout {
         &self.log_to_phys
     }
 
-    /// The full `physical → logical` table.
-    pub fn physical_to_logical(&self) -> &[Qubit] {
-        &self.phys_to_log
-    }
-
     /// Applies a SWAP on two **physical** qubits: the logical qubits living
     /// there exchange places. This is the layout update of Algorithm 1's
     /// `π = π.update(SWAP)`.

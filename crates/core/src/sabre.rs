@@ -229,11 +229,6 @@ impl SabreRouter {
         self
     }
 
-    /// The attached embedding-verdict store, if any.
-    pub fn embedding_cache(&self) -> Option<&Arc<EmbeddingVerdictCache>> {
-        self.verdicts.as_ref()
-    }
-
     /// Decomposes the router into its shared preprocessing — the single
     /// source of truth the [`crate::DeviceCache`] stores, so the cache's
     /// cold path can never drift from [`SabreRouter::new`].
@@ -500,20 +495,6 @@ impl SabreRouter {
             .collect();
         Layout::from_logical_to_physical(logical_to_physical)
             .expect("embedding produces an injective placement")
-    }
-
-    /// Computes a high-quality **initial layout only** — the placement
-    /// side of SABRE, analogous to Qiskit's `SabreLayout` pass. Runs the
-    /// same multi-restart bidirectional traversals as [`SabreRouter::route`]
-    /// but returns just the initial mapping of the best restart, for users
-    /// who feed placements into their own routing or scheduling stack.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError::DeviceTooSmall`] if the circuit does not fit.
-    pub fn compute_initial_layout(&self, circuit: &Circuit) -> Result<Layout, RouteError> {
-        let result = self.route(circuit)?;
-        Ok(result.best.initial_layout)
     }
 
     /// Routes with a caller-supplied initial mapping and a single forward
@@ -928,10 +909,10 @@ mod tests {
             }
             c
         };
-        let layout = router.compute_initial_layout(&circuit).unwrap();
-        // Routing again from that layout must cost no more than the full
-        // pipeline found (it is the same placement).
         let full = router.route(&circuit).unwrap();
+        // Routing again from the best restart's initial layout must cost
+        // no more than the full pipeline found (it is the same placement).
+        let layout = full.best.initial_layout.clone();
         let single = router.route_with_layout(&circuit, layout).unwrap();
         assert!(single.num_swaps <= full.best.num_swaps + 1);
     }

@@ -7,7 +7,7 @@
 //! (two-qubit gates × restarts × traversals — the exact quantity
 //! `metrics.rs` already meters ns-per-step against), and
 //! [`modeled_wait_ns`] converts the work already queued + in flight into
-//! a projected wait using the live `avg_route_ns_per_step`. A request
+//! a projected wait using the live `Metrics::avg_ns_per_step`. A request
 //! whose projected wait exceeds the configured SLO gets a **priced 429**
 //! carrying `projected_wait_ms`, so clients can back off intelligently;
 //! the blind `503` remains only for a genuinely full queue or connection

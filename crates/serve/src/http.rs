@@ -399,11 +399,6 @@ impl Response {
         self
     }
 
-    /// Whether this response closes the connection.
-    pub fn closes_connection(&self) -> bool {
-        self.close
-    }
-
     /// The status code.
     pub fn status(&self) -> u16 {
         self.status
@@ -742,7 +737,7 @@ mod tests {
     #[test]
     fn keep_alive_response_advertises_it() {
         let resp = Response::text(200, "ok").keep_alive();
-        assert!(!resp.closes_connection());
+        assert!(!resp.close);
         let mut out = Vec::new();
         resp.write_to(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();

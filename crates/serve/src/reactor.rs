@@ -42,7 +42,7 @@ use sabre_trace::{is_valid_trace_id, next_trace_id, unix_ms_now, RequestTrace};
 
 use crate::admission::RateLimiter;
 use crate::http::{Parsed, RequestParser, Response};
-use crate::metrics::Metrics;
+use crate::metrics::Counter;
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::service::{dispatch, AdmitCtx, Completion, Outcome, RoutingService};
 
@@ -911,9 +911,9 @@ impl Reactor {
                 continue;
             }
             match kind {
-                DeadlineKind::Read => Metrics::add(&self.service.metrics.reaped_read_deadline, 1),
-                DeadlineKind::Write => Metrics::add(&self.service.metrics.reaped_write_deadline, 1),
-                DeadlineKind::Idle => Metrics::add(&self.service.metrics.reaped_idle, 1),
+                DeadlineKind::Read => self.service.metrics.add(Counter::ReapedReadDeadline, 1),
+                DeadlineKind::Write => self.service.metrics.add(Counter::ReapedWriteDeadline, 1),
+                DeadlineKind::Idle => self.service.metrics.add(Counter::ReapedIdle, 1),
                 DeadlineKind::Linger => {} // already served its response
             }
             self.close(tok);
@@ -932,7 +932,7 @@ impl Reactor {
                         // one rejection that cannot be priced: a canned
                         // 503. The single small write fits a fresh
                         // socket buffer, so best-effort is reliable.
-                        Metrics::add(&self.service.metrics.shed_table_full, 1);
+                        self.service.metrics.add(Counter::ShedTableFull, 1);
                         let _ = stream.set_nonblocking(true);
                         let _ = (&stream).write(&self.table_full);
                         continue;

@@ -58,7 +58,7 @@ use sabre_trace::{SlowLog, Span, TraceRing};
 use crate::admission::{self, RateLimiter};
 use crate::api::{self, ApiError};
 use crate::http::{Request, Response};
-use crate::metrics::{GaugeSnapshot, Metrics};
+use crate::metrics::{Counter, GaugeSnapshot, Hist, Metrics};
 use crate::queue::{BoundedQueue, PushError};
 use crate::reactor::{self, Waker};
 use crate::ServeConfig;
@@ -487,11 +487,11 @@ pub(crate) fn dispatch(
     let m = &service.metrics;
     let response = match (request.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
-            Metrics::add(&m.requests_healthz, 1);
+            m.add(Counter::RequestsHealthz, 1);
             healthz(service)
         }
         ("GET", ["metrics"]) => {
-            Metrics::add(&m.requests_metrics, 1);
+            m.add(Counter::RequestsMetrics, 1);
             Response::text(
                 200,
                 m.render(
@@ -505,28 +505,28 @@ pub(crate) fn dispatch(
         ("GET", ["debug", "quality"]) => Response::json(200, &service.metrics.quality.to_json()),
         ("GET", ["devices"]) => list_devices(service),
         ("POST", ["devices"]) => {
-            Metrics::add(&m.requests_devices, 1);
+            m.add(Counter::RequestsDevices, 1);
             register_device(service, request)
         }
         ("POST", ["devices", id, "noise"]) => {
-            Metrics::add(&m.requests_noise, 1);
+            m.add(Counter::RequestsNoise, 1);
             refresh_noise(service, id, request)
         }
         ("GET", ["fleets"]) => list_fleets(service),
         ("POST", ["fleets"]) => {
-            Metrics::add(&m.requests_fleets, 1);
+            m.add(Counter::RequestsFleets, 1);
             register_fleet(service, request)
         }
         ("POST", ["route"]) => {
-            Metrics::add(&m.requests_route, 1);
+            m.add(Counter::RequestsRoute, 1);
             return admit_job(service, request, ctx, parse_route_request);
         }
         ("POST", ["route_sharded"]) => {
-            Metrics::add(&m.requests_sharded, 1);
+            m.add(Counter::RequestsSharded, 1);
             return admit_job(service, request, ctx, parse_sharded_request);
         }
         ("POST", ["transpile_batch"]) => {
-            Metrics::add(&m.requests_batch, 1);
+            m.add(Counter::RequestsBatch, 1);
             return admit_job(service, request, ctx, parse_batch_request);
         }
         (
@@ -911,7 +911,7 @@ fn admit_job(
     parse: impl FnOnce(&RoutingService, &JsonValue) -> Result<JobKind, ApiError>,
 ) -> Outcome {
     if ctx.limiter.enabled() && !ctx.limiter.allow(ctx.peer, Instant::now()) {
-        Metrics::add(&service.metrics.shed_rate_limited, 1);
+        service.metrics.add(Counter::ShedRateLimited, 1);
         return Outcome::Respond(api::too_many_requests(
             "rate limit exceeded for this client",
             0,
@@ -962,9 +962,9 @@ fn admit_job(
             if let Some((result, quality)) = cached {
                 let m = &service.metrics;
                 let rebind_ns = result.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-                m.rebind_ns.observe(rebind_ns);
-                Metrics::add(&m.plan_cache_inline_hits, 1);
-                Metrics::add(&m.circuits_routed, 1);
+                m.observe(Hist::RebindNs, rebind_ns);
+                m.add(Counter::PlanCacheInlineHits, 1);
+                m.add(Counter::CircuitsRouted, 1);
                 // The quality rides the cached plan (computed once at the
                 // original miss) — zero recompute on this inline path.
                 m.observe_quality(device_id, &quality);
@@ -1039,10 +1039,10 @@ fn admit(service: &RoutingService, kind: JobKind, ctx: &mut AdmitCtx<'_>) -> Out
     let wait_ms = service.modeled_drain_ns() / 1_000_000;
     // Observed for every priced request, accepted or not, so the
     // histogram shows the wait distribution clients actually see.
-    service.metrics.predicted_wait_ms.observe(wait_ms);
+    service.metrics.observe(Hist::PredictedWaitMs, wait_ms);
     let slo_ms = service.config.admission_slo_ms;
     if slo_ms > 0 && wait_ms > slo_ms {
-        Metrics::add(&service.metrics.shed_predicted_slo, 1);
+        service.metrics.add(Counter::ShedPredictedSlo, 1);
         ctx.phases.push(("admission", admission_span.elapsed_ns()));
         return Outcome::Respond(api::too_many_requests(
             &format!("predicted queue wait {wait_ms}ms exceeds the admission SLO ({slo_ms}ms)"),
@@ -1066,11 +1066,11 @@ fn admit(service: &RoutingService, kind: JobKind, ctx: &mut AdmitCtx<'_>) -> Out
     };
     match service.queue.try_push_weighted(job, cost) {
         Ok(_depth) => {
-            Metrics::add(&service.metrics.jobs_admitted, 1);
+            service.metrics.add(Counter::JobsAdmitted, 1);
             Outcome::Queued
         }
         Err(PushError::Full(_)) => {
-            Metrics::add(&service.metrics.queue_rejections, 1);
+            service.metrics.add(Counter::QueueRejections, 1);
             Outcome::Respond(unavailable(service, "routing queue is full"))
         }
         Err(PushError::Closed(_)) => {
@@ -1121,7 +1121,7 @@ pub(crate) fn unavailable(service: &RoutingService, message: &str) -> Response {
 fn worker_loop(service: &Arc<RoutingService>) {
     while let Some((job, cost)) = service.queue.pop_weighted() {
         let queue_wait_ns = job.admitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        Metrics::add(&service.metrics.queue_wait_ns_total, queue_wait_ns);
+        service.metrics.add(Counter::QueueWaitNs, queue_wait_ns);
         // The popped job's steps move from the queued half of the
         // backlog to the in-flight half until it finishes.
         service.inflight_cost.fetch_add(cost, Ordering::Relaxed);
@@ -1147,14 +1147,12 @@ fn worker_loop(service: &Arc<RoutingService>) {
             )
         });
         service.inflight_cost.fetch_sub(cost, Ordering::Relaxed);
-        Metrics::add(
-            if response.status() < 400 {
-                &service.metrics.jobs_completed
-            } else {
-                &service.metrics.jobs_failed
-            },
-            1,
-        );
+        let finished = if response.status() < 400 {
+            Counter::JobsCompleted
+        } else {
+            Counter::JobsFailed
+        };
+        service.metrics.add(finished, 1);
         service.complete(job.token, response, phases, device, annotations);
     }
 }
@@ -1200,15 +1198,13 @@ fn execute(
                 result.total_search_steps(),
                 result.ns_per_step(),
             );
-            Metrics::add(&service.metrics.circuits_routed, 1);
-            // Profiled routes feed the per-phase histogram family
-            // (`route_phase_ns{phase=...}`).
+            service.metrics.add(Counter::CircuitsRouted, 1);
+            // Profiled routes feed the per-phase histogram family.
             if let Some(profile) = &result.profile {
                 let m = &service.metrics;
-                m.route_phase_front_ns.observe(profile.front_ns);
-                m.route_phase_extended_set_ns
-                    .observe(profile.extended_set_ns);
-                m.route_phase_scoring_ns.observe(profile.scoring_ns);
+                m.observe(Hist::PhaseFront, profile.front_ns);
+                m.observe(Hist::PhaseExtendedSet, profile.extended_set_ns);
+                m.observe(Hist::PhaseScoring, profile.scoring_ns);
             }
             // Quality runs post-route, off the hot loop: one decomposed-
             // depth pass plus a log-fidelity sum over the output gates.
@@ -1263,7 +1259,7 @@ fn execute(
                     shard.result.ns_per_step(),
                 );
             }
-            Metrics::add(&service.metrics.circuits_routed, 1);
+            service.metrics.add(Counter::CircuitsRouted, 1);
             // Each shard scores against its own member's noise model and
             // lands on the scoreboard under that member's id.
             let quality = plan.quality(circuit, &fleet);
@@ -1311,7 +1307,9 @@ fn execute(
         } => {
             let outcomes = transpile_batch_cached(circuits, graph, options, &service.cache);
             let succeeded = outcomes.iter().filter(|o| o.is_transpiled()).count();
-            Metrics::add(&service.metrics.circuits_routed, succeeded as u64);
+            service
+                .metrics
+                .add(Counter::CircuitsRouted, succeeded as u64);
             *device = Some(device_id.clone());
             let mut total_swaps = 0u64;
             let slots: JsonValue = circuits

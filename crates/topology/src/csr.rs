@@ -132,11 +132,6 @@ impl CsrAdjacency {
     pub fn degree(&self, q: Qubit) -> usize {
         self.range(q.index()).len()
     }
-
-    /// Total packed entries — `2 × num_edges` for an undirected graph.
-    pub fn num_entries(&self) -> usize {
-        self.neighbors.len()
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +159,6 @@ mod tests {
         let edges = canonical(&[(0, 1), (1, 3), (3, 2), (2, 0)]);
         let csr = CsrAdjacency::build(4, &edges);
         assert_eq!(csr.num_qubits(), 4);
-        assert_eq!(csr.num_entries(), 8);
         assert_eq!(csr.neighbors(Qubit(0)), &[Qubit(1), Qubit(2)]);
         assert_eq!(csr.neighbors(Qubit(3)), &[Qubit(1), Qubit(2)]);
         assert_eq!(csr.degree(Qubit(1)), 2);

@@ -373,6 +373,7 @@ fn metrics_exposition_is_well_formed() {
         name
     }
 
+    let mut helped: HashSet<String> = HashSet::new();
     let mut typed: HashSet<String> = HashSet::new();
     let mut types: HashMap<String, String> = HashMap::new();
     // (family, label-set minus le) -> (last le bound, last cumulative count)
@@ -396,10 +397,18 @@ fn metrics_exposition_is_well_formed() {
             let payload = parts
                 .next()
                 .unwrap_or_else(|| panic!("empty {keyword}: {line}"));
-            if keyword == "TYPE" {
+            // Exactly one HELP per family, and it comes before the TYPE.
+            if keyword == "HELP" {
+                assert!(helped.insert(name.to_string()), "duplicate HELP for {name}");
+                assert!(!typed.contains(name), "HELP after TYPE for {name}");
+            } else {
                 assert!(
                     ["counter", "gauge", "histogram", "summary", "untyped"].contains(&payload),
                     "illegal TYPE: {line}"
+                );
+                assert!(
+                    helped.contains(name),
+                    "TYPE without a HELP before it: {line}"
                 );
                 assert!(typed.insert(name.to_string()), "duplicate TYPE for {name}");
                 types.insert(name.to_string(), payload.to_string());
@@ -473,6 +482,7 @@ fn metrics_exposition_is_well_formed() {
         }
     }
 
+    assert_eq!(helped, typed, "every HELP needs a TYPE");
     // Every histogram family's label sets terminate at +Inf.
     for ((family, labels), (last_le, _)) in &buckets {
         assert!(
