@@ -1,6 +1,8 @@
-//! Parallel multi-seed engine vs the sequential path: per-circuit restart
-//! fan-out and whole-corpus batch transpilation. The acceptance bar for
-//! the engine is ≥2× throughput on ≥4 cores for the batch workloads.
+//! The parallel multi-seed engine at its two grains: restart fan-out
+//! inside one `route` call, and circuit fan-out in the batch APIs (whose
+//! workers run each circuit's restarts inline). The loops of single calls
+//! get only the restart fan-out, so the batch rows show what the coarser
+//! grain adds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sabre::{transpile_batch, SabreConfig, SabreRouter, TranspileOptions};
@@ -31,16 +33,9 @@ fn bench_multi_seed_single_circuit(c: &mut Criterion) {
             ..SabreConfig::paper()
         };
         let router = SabreRouter::new(device.graph().clone(), config).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("sequential", restarts),
-            &circuit,
-            |b, circ| b.iter(|| router.route(circ).unwrap().added_gates()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("parallel", restarts),
-            &circuit,
-            |b, circ| b.iter(|| router.route_parallel(circ).unwrap().added_gates()),
-        );
+        group.bench_with_input(BenchmarkId::new("route", restarts), &circuit, |b, circ| {
+            b.iter(|| router.route(circ).unwrap().added_gates())
+        });
     }
     group.finish();
 }
@@ -54,7 +49,7 @@ fn bench_route_batch(c: &mut Criterion) {
     for len in [8usize, 32] {
         let circuits = corpus(len);
         group.bench_with_input(
-            BenchmarkId::new("sequential_loop", len),
+            BenchmarkId::new("route_loop", len),
             &circuits,
             |b, circs| {
                 b.iter(|| {
@@ -103,7 +98,7 @@ fn bench_transpile_batch(c: &mut Criterion) {
         },
     );
     group.bench_with_input(
-        BenchmarkId::new("sequential_loop", circuits.len()),
+        BenchmarkId::new("transpile_loop", circuits.len()),
         &circuits,
         |b, circs| {
             b.iter(|| {

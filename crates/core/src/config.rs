@@ -51,7 +51,10 @@ pub struct SabreConfig {
     pub decay_reset_interval: u32,
     /// Number of independent random initial mappings tried; the best final
     /// result is reported (paper: 5). Past 128 physical qubits each one
-    /// is a BFS ball rather than uniform (`Layout::initial`).
+    /// is a BFS ball rather than uniform (`Layout::initial`). Restarts
+    /// after the first run concurrently once restart 0's search shows
+    /// enough work ([`SabreRouter::route`](crate::SabreRouter::route));
+    /// the result does not depend on the thread count.
     pub num_restarts: usize,
     /// Traversals per restart: 1 = single forward pass, 3 = the paper's
     /// forward–backward–forward reverse-traversal scheme. Must be odd so

@@ -1,4 +1,4 @@
-//! Rayon-parallel multi-seed routing engine.
+//! Batch entry points: many circuits routed or transpiled concurrently.
 //!
 //! SABRE's quality comes from running many independent trials — random
 //! initial mappings (past 128 physical qubits, random BFS balls), each
@@ -6,22 +6,26 @@
 //! §IV; trial count dominates result quality).
 //! Those trials share nothing but the router's immutable preprocessing
 //! (the distance/cost matrices built once in [`SabreRouter::new`]), so
-//! they parallelize perfectly:
+//! they parallelize at two grains:
 //!
-//! - [`SabreRouter::route_parallel`] fans the `num_restarts` trials of one
-//!   circuit across worker threads;
+//! - [`SabreRouter::route`] spreads one circuit's `num_restarts` trials
+//!   across the rayon pool once restart 0's search shows enough work;
 //! - [`SabreRouter::route_batch`] routes many circuits at once, one trial
 //!   pipeline per circuit;
 //! - [`transpile_batch`] runs the full transpilation pipeline (route →
 //!   decompose → optimize → fix directions) over a whole corpus.
 //!
+//! The grains do not multiply: a parallel call made from inside a batch
+//! worker runs inline, so each circuit's restarts stay on the worker that
+//! took the circuit.
+//!
 //! # Determinism
 //!
 //! Every trial seeds its own RNG from `(config.seed, restart_index)` and
-//! results are reduced in restart order, so **parallel output is
-//! bit-identical to the sequential path** for a fixed seed — only the
-//! wall-clock `elapsed` field differs. Tests in `tests/parallel_engine.rs`
-//! pin this down, including a property test over trial counts.
+//! results are reduced in restart order, so output is **bit-identical
+//! at any thread count** for a fixed seed — only the wall-clock
+//! `elapsed` field differs. Tests in `tests/parallel_engine.rs` pin this
+//! down, including a property test over trial counts.
 //!
 //! # Sharing
 //!
@@ -30,50 +34,21 @@
 //! sparse one is read through per-traversal pinned rows, so trials touch
 //! its row-cache lock only on a pin miss.
 
-use std::time::Instant;
-
 use rayon::prelude::*;
 use sabre_circuit::Circuit;
 use sabre_topology::CouplingGraph;
 
-use crate::sabre::{PreparedCircuit, RestartOutcome};
 use crate::transpile::finish_routed;
 use crate::{DeviceCache, RouteError, SabreResult, SabreRouter, TranspileOptions, TranspileOutput};
 
 impl SabreRouter {
-    /// [`SabreRouter::route`], with the `num_restarts` independent trials
-    /// running concurrently on the rayon pool.
-    ///
-    /// Produces the same [`SabreResult`] as the sequential path for a
-    /// fixed `config.seed` (modulo the wall-clock `elapsed` field); see
-    /// the [module docs](self) for why. Worth it when `num_restarts ×
-    /// circuit size` is large; for tiny circuits the thread fan-out can
-    /// cost more than the trials.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError::DeviceTooSmall`] if the circuit has more
-    /// logical qubits than the device has physical qubits.
-    pub fn route_parallel(&self, circuit: &Circuit) -> Result<SabreResult, RouteError> {
-        self.check_fits(circuit)?;
-        let start = Instant::now();
-        let reversed = circuit.reversed();
-        // One prepared circuit (reversed copy + both traversal DAGs) is
-        // shared read-only by every worker; each restart owns its private
-        // SearchState scratch.
-        let prepared = PreparedCircuit::new(circuit, &reversed);
-        let outcomes: Vec<RestartOutcome> = (0..self.config().num_restarts)
-            .into_par_iter()
-            .map(|restart| self.run_restart(&prepared, restart))
-            .collect();
-        Ok(self.assemble(circuit, outcomes, start))
-    }
-
-    /// Routes a batch of circuits concurrently — one full (sequential)
-    /// trial pipeline per circuit, circuits fanned across the pool. This
-    /// is the right granularity for corpus workloads: trials of the same
-    /// circuit stay on one worker (warm caches), distinct circuits load-
-    /// balance dynamically.
+    /// Routes a batch of circuits concurrently — one full trial pipeline
+    /// per circuit, circuits fanned across the pool. Once the batch fans
+    /// out (two or more circuits, two or more threads), each circuit's
+    /// restarts run inline on its worker: a nested parallel call does not
+    /// fan out again. This is the right granularity for corpus
+    /// workloads: trials of the same circuit stay on one worker (warm
+    /// caches), distinct circuits load-balance dynamically.
     ///
     /// `results[i]` corresponds to `circuits[i]`; each circuit fails or
     /// succeeds independently.
@@ -285,12 +260,18 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential_on_paper_config() {
+        // Restart 0 of this circuit crosses the fan-out threshold, so
+        // `route` spreads restarts 1..5; `route_batch` runs each copy's
+        // restarts inline on its worker.
         let device = devices::ibm_q20_tokyo();
         let router = SabreRouter::new(device.graph().clone(), SabreConfig::paper()).unwrap();
-        let circuit = workload(12, 80, (5, 7));
-        let sequential = router.route(&circuit).unwrap();
-        let parallel = router.route_parallel(&circuit).unwrap();
-        assert_same_result(&sequential, &parallel);
+        let circuit = sabre_benchgen::random::random_circuit(14, 160, 0.7, 11);
+        let fanned = router.route(&circuit).unwrap();
+        let restart0_steps: usize = fanned.traversals[..3].iter().map(|t| t.num_swaps).sum();
+        assert!(restart0_steps >= crate::sabre::FAN_OUT_STEPS);
+        for inline in router.route_batch(&[circuit.clone(), circuit]) {
+            assert_same_result(&fanned, &inline.unwrap());
+        }
     }
 
     #[test]
@@ -298,10 +279,9 @@ mod tests {
         let device = devices::linear(3);
         let router = SabreRouter::new(device.graph().clone(), SabreConfig::fast()).unwrap();
         let circuit = workload(5, 10, (2, 3));
-        assert_eq!(
-            router.route_parallel(&circuit).unwrap_err(),
-            router.route(&circuit).unwrap_err(),
-        );
+        for inline in router.route_batch(&[circuit.clone(), circuit.clone()]) {
+            assert_eq!(inline.unwrap_err(), router.route(&circuit).unwrap_err());
+        }
     }
 
     #[test]

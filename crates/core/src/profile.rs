@@ -27,7 +27,7 @@ use sabre_trace::{Span, SpanClock};
 
 /// Aggregated hot-loop telemetry for one routing call: phase wall times
 /// and event counters summed over every profiled traversal of every
-/// restart, in restart order. Returned as
+/// restart (restarts may run concurrently), in restart order. Returned as
 /// [`SabreResult::profile`](crate::SabreResult::profile) when
 /// [`SabreConfig::profile`](crate::SabreConfig::profile) is set.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -49,6 +49,10 @@ pub struct RouteProfile {
     /// Nanoseconds in candidate collection, delta scoring, and the
     /// tie-breaking pick.
     pub scoring_ns: u64,
+    /// The part of `scoring_ns` spent updating the scoring tables and
+    /// candidate segments: a rebuild after a dirty step, an in-place
+    /// patch after a clean one. The rest of `scoring_ns` is the sweep.
+    pub update_ns: u64,
     /// Candidate SWAPs evaluated by the delta scorer.
     pub candidates_scored: u64,
     /// Decay-table resets (after an executed gate, on the reset
@@ -61,9 +65,12 @@ pub struct RouteProfile {
 }
 
 impl RouteProfile {
-    /// Total instrumented hot-loop time: the three phase counters.
-    /// Always ≤ the routing call's `elapsed` (preprocessing, layout
-    /// draws, and result assembly are outside the loop).
+    /// Total instrumented hot-loop time: the three phase counters
+    /// (`update_ns` is inside `scoring_ns`). Like every field, it is
+    /// summed over restarts, and a route's restarts may run concurrently,
+    /// so it can exceed the routing call's `elapsed`; with the restarts on
+    /// one thread it stays below it (preprocessing, layout draws, and
+    /// result assembly are outside the loop).
     pub fn hot_loop_ns(&self) -> u64 {
         self.front_ns + self.extended_set_ns + self.scoring_ns
     }
@@ -77,6 +84,7 @@ impl RouteProfile {
         self.front_ns += other.front_ns;
         self.extended_set_ns += other.extended_set_ns;
         self.scoring_ns += other.scoring_ns;
+        self.update_ns += other.update_ns;
         self.candidates_scored += other.candidates_scored;
         self.decay_resets += other.decay_resets;
         self.forced_routings += other.forced_routings;
@@ -94,6 +102,7 @@ impl RouteProfile {
             ("front_ns", self.front_ns.into()),
             ("extended_set_ns", self.extended_set_ns.into()),
             ("scoring_ns", self.scoring_ns.into()),
+            ("update_ns", self.update_ns.into()),
             ("hot_loop_ns", self.hot_loop_ns().into()),
             ("candidates_scored", self.candidates_scored.into()),
             ("decay_resets", self.decay_resets.into()),
@@ -154,6 +163,15 @@ impl ProfileCollector {
         }
     }
 
+    /// Closes the table and candidate update of a scored step: `span`
+    /// is the step's scoring span, still open.
+    #[inline]
+    pub(crate) fn add_update(&mut self, span: Span) {
+        if let ProfileCollector::On(p) = self {
+            p.update_ns += span.elapsed_ns();
+        }
+    }
+
     /// Closes one scored step: `clean` when its front layer was
     /// unchanged and the scoring tables were patched in place.
     #[inline]
@@ -196,6 +214,7 @@ mod tests {
         assert!(!c.clock().is_enabled());
         let span = c.clock().start();
         c.add_front(span);
+        c.add_update(span);
         c.add_scoring(span, 17, true);
         c.finish_traversal(5, 1, 2);
         assert_eq!(c.take(), None);
@@ -205,7 +224,9 @@ mod tests {
     fn enabled_collector_accumulates_counters() {
         let mut c = ProfileCollector::new(true);
         assert!(c.clock().is_enabled());
-        c.add_scoring(c.clock().start(), 12, false);
+        let span = c.clock().start();
+        c.add_update(span);
+        c.add_scoring(span, 12, false);
         c.add_scoring(c.clock().start(), 8, true);
         c.finish_traversal(9, 0, 3);
         c.finish_traversal(4, 1, 1);
@@ -217,6 +238,7 @@ mod tests {
         assert_eq!(p.decay_resets, 4);
         assert_eq!(p.forced_routings, 1);
         assert_eq!(p.per_traversal_steps, vec![9, 4]);
+        assert!(p.update_ns <= p.scoring_ns);
     }
 
     #[test]
@@ -228,6 +250,7 @@ mod tests {
             front_ns: 100,
             extended_set_ns: 50,
             scoring_ns: 200,
+            update_ns: 90,
             candidates_scored: 40,
             decay_resets: 3,
             forced_routings: 0,
@@ -240,6 +263,7 @@ mod tests {
             front_ns: 30,
             extended_set_ns: 20,
             scoring_ns: 60,
+            update_ns: 25,
             candidates_scored: 25,
             decay_resets: 1,
             forced_routings: 1,
@@ -249,6 +273,7 @@ mod tests {
         assert_eq!(a.traversals, 3);
         assert_eq!(a.search_steps, 16);
         assert_eq!(a.clean_steps, 11);
+        assert_eq!(a.update_ns, 115);
         assert_eq!(a.hot_loop_ns(), 130 + 70 + 260);
         assert_eq!(a.per_traversal_steps, vec![10, 2, 4]);
     }
@@ -262,6 +287,7 @@ mod tests {
             front_ns: 1_000,
             extended_set_ns: 2_000,
             scoring_ns: 3_000,
+            update_ns: 1_200,
             candidates_scored: 84,
             decay_resets: 5,
             forced_routings: 0,
@@ -271,6 +297,7 @@ mod tests {
         assert_eq!(json.get("search_steps").unwrap().as_u64(), Some(21));
         assert_eq!(json.get("clean_steps").unwrap().as_u64(), Some(15));
         assert_eq!(json.get("hot_loop_ns").unwrap().as_u64(), Some(6_000));
+        assert_eq!(json.get("update_ns").unwrap().as_u64(), Some(1_200));
         let steps: Vec<u64> = json
             .get("per_traversal_steps")
             .unwrap()

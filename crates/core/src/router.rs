@@ -350,6 +350,7 @@ pub(crate) fn route_pass_prepared(
                 .prepare(dag, &mut pins, &layout, &state.front, &state.extended);
             state.candidates.rebuild(dag, graph, &layout, &state.front);
         }
+        collector.add_update(scoring_span);
         debug_assert!(
             state.candidates.len() > 0,
             "connected device always has candidates"

@@ -3,6 +3,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use sabre_circuit::interaction::InteractionGraph;
 use sabre_circuit::Circuit;
 use sabre_topology::embedding::{self, Embedding};
@@ -19,9 +20,9 @@ use crate::{Layout, RouteError, RoutedCircuit, SabreConfig, SabreResult, Travers
 
 /// Per-circuit state shared by every restart: the reversed circuit and
 /// both traversal DAGs, built **once** per `route` call instead of once
-/// per traversal. Immutable, so the rayon-parallel engine shares one copy
+/// per traversal. Immutable, so restarts that fan out share one copy
 /// across workers.
-pub(crate) struct PreparedCircuit<'a> {
+struct PreparedCircuit<'a> {
     circuit: &'a Circuit,
     reversed: &'a Circuit,
     dag_forward: DependencyDag,
@@ -29,7 +30,7 @@ pub(crate) struct PreparedCircuit<'a> {
 }
 
 impl<'a> PreparedCircuit<'a> {
-    pub(crate) fn new(circuit: &'a Circuit, reversed: &'a Circuit) -> Self {
+    fn new(circuit: &'a Circuit, reversed: &'a Circuit) -> Self {
         PreparedCircuit {
             circuit,
             reversed,
@@ -41,22 +42,59 @@ impl<'a> PreparedCircuit<'a> {
 
 /// Everything one restart (random initial mapping — past 128 physical
 /// qubits a BFS ball — + `num_traversals` bidirectional passes)
-/// produced. Restarts are fully independent — the unit of work both the
-/// sequential and the rayon-parallel pipelines distribute.
+/// produced. Restarts are fully independent — the unit of work `route`
+/// spreads over the rayon pool.
 #[derive(Clone, Debug)]
-pub(crate) struct RestartOutcome {
+struct RestartOutcome {
     /// Best forward pass of this restart.
-    pub(crate) candidate: Candidate,
+    candidate: Candidate,
     /// Telemetry for every traversal, in execution order.
-    pub(crate) reports: Vec<TraversalReport>,
+    reports: Vec<TraversalReport>,
     /// SWAPs of this restart's very first (look-ahead) traversal.
-    pub(crate) first_traversal_swaps: usize,
+    first_traversal_swaps: usize,
     /// Hot-loop phase profile of this restart's traversals, when
     /// [`SabreConfig::profile`] is set. Riding in the outcome keeps the
-    /// rayon-parallel engine's restart-order reduction (and with it the
-    /// bit-identity contract) intact.
-    pub(crate) profile: Option<RouteProfile>,
+    /// restart-order reduction (and with it the bit-identity contract)
+    /// intact however the restarts fanned out.
+    profile: Option<RouteProfile>,
 }
+
+impl RestartOutcome {
+    /// Search steps (SWAPs, forced ones included) over all traversals.
+    fn search_steps(&self) -> usize {
+        self.reports.iter().map(|r| r.num_swaps).sum()
+    }
+}
+
+/// Restart-0 search steps from which `route` runs the remaining restarts
+/// concurrently. Step counts are deterministic, so the schedule (like the
+/// output) never depends on timing or thread count. Circuit size does not
+/// predict the work: at the paper configuration `ising_model_16` has 390
+/// two-qubit gates but 54 restart-0 SWAPs, `qft_13` 156 and 118.
+///
+/// Table II on Tokyo at the paper configuration, min of 7 routes per row
+/// (probe on, no verdict cache), with restarts `1..5` always inline and
+/// always fanned out, on a 2-vCPU x86-64 host:
+///
+/// | row | 2q gates | restart-0 steps | inline ms | fanned ms |
+/// |---|---:|---:|---:|---:|
+/// | `4gt13_92` | 29 | 3 | 0.054 | 0.107 |
+/// | `4mod5-v1_22` | 13 | 4 | 0.034 | 0.077 |
+/// | `ising_model_10` | 234 | 24 | 0.321 | 0.317 |
+/// | `decod24-v2_43` | 37 | 33 | 0.152 | 0.161 |
+/// | `ising_model_16` | 390 | 54 | 0.625 | 0.523 |
+/// | `ising_model_13` | 312 | 62 | 0.579 | 0.438 |
+/// | `qft_10` | 90 | 74 | 0.520 | 0.379 |
+/// | `rd84_142` | 138 | 123 | 1.083 | 0.800 |
+/// | `qft_20` | 380 | 327 | 3.153 | 2.166 |
+/// | `co14_215` | 7,176 | 6,186 | 57.65 | 36.86 |
+///
+/// A fan-out costs a thread spawn and join, 40–60 µs there, which doubles
+/// a route of a few steps; the two sides meet near 30 steps. The threshold
+/// sits at about twice that, so a route that fans out still gains when a
+/// loaded host spawns more slowly; the rows in between give up at most
+/// 0.14 ms each.
+pub(crate) const FAN_OUT_STEPS: usize = 64;
 
 /// The complete SABRE pipeline: preprocessing, multi-restart
 /// bidirectional traversal, and best-result selection (paper §IV).
@@ -262,6 +300,15 @@ impl SabreRouter {
     /// pass — the reverse traversal of §IV-C2) and keep the best final
     /// forward pass across restarts.
     ///
+    /// Restart 0 runs on the calling thread. When its search took at least
+    /// 64 steps (SWAPs over its traversals), restarts `1..` run
+    /// concurrently on the rayon pool; otherwise they run inline, where a
+    /// thread spawn would cost more than it saves. Either way the result
+    /// is the same for a fixed `config.seed`: every restart seeds its own
+    /// RNG, and outcomes are folded in restart order. Inside a parallel
+    /// section (a [`SabreRouter::route_batch`] worker, say) the restarts
+    /// always run inline on that worker.
+    ///
     /// # Errors
     ///
     /// Returns [`RouteError::DeviceTooSmall`] if the circuit has more
@@ -271,15 +318,25 @@ impl SabreRouter {
         let start = Instant::now();
         let reversed = circuit.reversed();
         let prepared = PreparedCircuit::new(circuit, &reversed);
-        let outcomes: Vec<RestartOutcome> = (0..self.config.num_restarts)
-            .map(|restart| self.run_restart(&prepared, restart))
-            .collect();
+        let first = self.run_restart(&prepared, 0);
+        let fan_out = first.search_steps() >= FAN_OUT_STEPS;
+        let mut outcomes = vec![first];
+        let rest = 1..self.config.num_restarts;
+        if fan_out {
+            outcomes.extend(
+                rest.into_par_iter()
+                    .map(|restart| self.run_restart(&prepared, restart))
+                    .collect::<Vec<_>>(),
+            );
+        } else {
+            outcomes.extend(rest.map(|restart| self.run_restart(&prepared, restart)));
+        }
         Ok(self.assemble(circuit, outcomes, start))
     }
 
     /// Errors with [`RouteError::DeviceTooSmall`] if `circuit` has more
     /// logical qubits than the device has physical ones.
-    pub(crate) fn check_fits(&self, circuit: &Circuit) -> Result<(), RouteError> {
+    fn check_fits(&self, circuit: &Circuit) -> Result<(), RouteError> {
         let n_phys = self.graph.num_qubits();
         if circuit.num_qubits() > n_phys {
             return Err(RouteError::DeviceTooSmall {
@@ -296,17 +353,13 @@ impl SabreRouter {
     /// alternating passes.
     ///
     /// The RNG stream depends only on `(config.seed, restart)`, never on
-    /// which thread runs the restart — this is what makes the parallel
-    /// engine ([`crate::parallel`]) bit-identical to the sequential loop.
+    /// which thread runs the restart: this is what makes `route` output
+    /// independent of whether its restarts fanned out.
     ///
     /// The traversal DAGs come pre-built in `prepared`; the search scratch
     /// ([`SearchState`]) is created once here and persists across the
     /// restart's traversals, so only the first pass pays any allocation.
-    pub(crate) fn run_restart(
-        &self,
-        prepared: &PreparedCircuit<'_>,
-        restart: usize,
-    ) -> RestartOutcome {
+    fn run_restart(&self, prepared: &PreparedCircuit<'_>, restart: usize) -> RestartOutcome {
         // Distinct, deterministic stream per restart.
         let mut rng = StdRng::seed_from_u64(
             self.config
@@ -372,7 +425,7 @@ impl SabreRouter {
     /// Folds restart outcomes (in restart order, so ties resolve exactly
     /// like the sequential loop), then gives the embedding probe a chance
     /// to beat them, and stamps the wall clock.
-    pub(crate) fn assemble(
+    fn assemble(
         &self,
         circuit: &Circuit,
         outcomes: Vec<RestartOutcome>,
@@ -1011,7 +1064,7 @@ mod tests {
             ..SabreConfig::paper()
         };
         let router = SabreRouter::new(device.graph().clone(), config).unwrap();
-        let mut depth_ties = 0;
+        let (mut depth_ties, mut fanned_out) = (0, 0);
         for name in ["4gt13_92", "ising_model_10", "qft_10", "rd84_142"] {
             let circuit = sabre_benchgen::registry::by_name(name)
                 .expect("Table II row")
@@ -1024,10 +1077,19 @@ mod tests {
             assert_eq!(result.traversals, traversals, "{name}");
             assert_eq!(result.first_traversal_added_gates, first, "{name}");
             depth_ties += row_ties;
+            let restart0_steps: usize = traversals
+                .iter()
+                .filter(|t| t.restart == 0)
+                .map(|t| t.num_swaps)
+                .sum();
+            fanned_out += usize::from(restart0_steps >= FAN_OUT_STEPS);
         }
         assert!(
             depth_ties > 0,
             "a SWAP-count tie must reach the depth tie-break"
         );
+        // rd84_142 (123 restart-0 SWAPs) fans its restarts out, so the
+        // eager oracle also pins the concurrent path.
+        assert!(fanned_out > 0, "some row must cross FAN_OUT_STEPS");
     }
 }

@@ -1,5 +1,6 @@
-//! The parallel multi-seed engine end to end: fan one circuit's restarts
-//! across threads, then transpile a whole corpus in one batch call.
+//! The parallel multi-seed engine end to end: one `route` call that fans
+//! a circuit's restarts across threads, then a whole corpus transpiled in
+//! one batch call.
 //!
 //! ```text
 //! cargo run --release --example parallel_batch
@@ -17,17 +18,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = devices::ibm_q20_tokyo();
     println!("device: IBM Q20 Tokyo");
 
-    // One hard circuit, 16 restarts running concurrently. Bit-identical
-    // to `route` with the same config — only wall-clock differs.
+    // One hard circuit, 16 restarts: restart 0 needs far more than a
+    // handful of SWAPs, so `route` runs restarts 1..16 concurrently. The
+    // result is the same at any thread count; only wall-clock differs.
     let config = SabreConfig {
         num_restarts: 16,
         ..SabreConfig::paper()
     };
     let router = SabreRouter::new(device.graph().clone(), config)?;
     let circuit = random::random_circuit(16, 300, 0.7, 42);
-    let result = router.route_parallel(&circuit)?;
+    let result = router.route(&circuit)?;
     println!(
-        "route_parallel: {} restarts, best is #{} with +{} gates ({} SWAPs)",
+        "route: {} restarts, best is #{} with +{} gates ({} SWAPs)",
         config.num_restarts,
         result.best_restart,
         result.added_gates(),

@@ -45,10 +45,12 @@ fn cached_routing_is_bit_identical_sequential_and_parallel() {
         // (graph entry AND embedding verdict) on the hit path.
         for _round in 0..2 {
             let router = cache.router(device.graph(), config).unwrap();
-            let sequential = router.route(circuit).unwrap();
-            let parallel = router.route_parallel(circuit).unwrap();
-            assert_same_result(&sequential, &reference);
+            let parallel = router.route(circuit).unwrap();
             assert_same_result(&parallel, &reference);
+            // Batch workers run each copy's restarts inline.
+            for sequential in router.route_batch(&[circuit.clone(), circuit.clone()]) {
+                assert_same_result(&sequential.unwrap(), &reference);
+            }
         }
     }
     assert_eq!(cache.stats().graph_misses, 1);

@@ -370,6 +370,10 @@ fn profiling_is_bit_identical_interleaved_with_reference() {
             );
             assert!(profile.search_steps > 0);
             assert!(profile.hot_loop_ns() > 0, "phase spans recorded time");
+            assert!(
+                profile.update_ns <= profile.scoring_ns,
+                "the update span is inside the scoring span"
+            );
         }
     }
 }

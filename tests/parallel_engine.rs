@@ -1,7 +1,8 @@
 //! Workspace-level contract tests for the rayon-parallel multi-seed
-//! engine (`sabre::parallel`): parallel output must be bit-identical to
-//! the sequential path, and batch APIs must produce verified, ordered
-//! results.
+//! engine: `route`, which fans a circuit's restarts out once restart 0
+//! shows enough work, must be bit-identical to the inline restart loop a
+//! `route_batch` worker runs, and batch APIs must produce verified,
+//! ordered results.
 
 use proptest::prelude::*;
 use sabre::{transpile_batch, SabreConfig, SabreResult, SabreRouter, TranspileOptions};
@@ -26,6 +27,32 @@ fn assert_same_result(label: &str, a: &SabreResult, b: &SabreResult) {
     );
 }
 
+/// Outcomes fold in restart order, so the traversal telemetry lists
+/// restart 0's traversals first, then restart 1's, and so on. Batch
+/// workers run the same fold, so only this check catches a fold that
+/// reorders restarts on both paths alike.
+fn in_restart_order(result: &SabreResult) -> bool {
+    result
+        .traversals
+        .windows(2)
+        .all(|w| (w[0].restart, w[0].traversal) < (w[1].restart, w[1].traversal))
+}
+
+/// `route` next to the same circuit routed by `route_batch` over two
+/// copies: each batch worker runs the circuit's restarts inline (a nested
+/// parallel call does not fan out), so this compares the fanned-out and
+/// the sequential restart loops whenever `route` fans out.
+fn assert_route_matches_inline(label: &str, router: &SabreRouter, circuit: &Circuit) {
+    let routed = router.route(circuit).unwrap();
+    assert!(
+        in_restart_order(&routed),
+        "{label}: restarts folded out of order"
+    );
+    for inline in router.route_batch(&[circuit.clone(), circuit.clone()]) {
+        assert_same_result(label, &routed, &inline.unwrap());
+    }
+}
+
 /// Fixed-seed determinism across the sequential and parallel engines, on
 /// the paper configuration and a spread of circuits.
 #[test]
@@ -39,9 +66,7 @@ fn parallel_is_bit_identical_to_sequential() {
         ("empty", Circuit::new(1)),
     ];
     for (label, circuit) in &workloads {
-        let sequential = router.route(circuit).unwrap();
-        let parallel = router.route_parallel(circuit).unwrap();
-        assert_same_result(label, &sequential, &parallel);
+        assert_route_matches_inline(label, &router, circuit);
     }
 
     // Past the dense threshold each restart starts from a BFS ball drawn
@@ -53,9 +78,7 @@ fn parallel_is_bit_identical_to_sequential() {
     };
     let router = SabreRouter::new(grid.graph().clone(), config).unwrap();
     let circuit = random::random_circuit(40, 200, 0.8, 33);
-    let sequential = router.route(&circuit).unwrap();
-    let parallel = router.route_parallel(&circuit).unwrap();
-    assert_same_result("grid33x33/random40", &sequential, &parallel);
+    assert_route_matches_inline("grid33x33/random40", &router, &circuit);
 }
 
 /// Determinism also holds run-to-run (the parallel engine cannot be
@@ -65,9 +88,9 @@ fn parallel_is_stable_across_runs() {
     let device = devices::ibm_q20_tokyo();
     let router = SabreRouter::new(device.graph().clone(), SabreConfig::paper()).unwrap();
     let circuit = random::random_circuit(14, 150, 0.65, 3);
-    let first = router.route_parallel(&circuit).unwrap();
+    let first = router.route(&circuit).unwrap();
     for _ in 0..3 {
-        let again = router.route_parallel(&circuit).unwrap();
+        let again = router.route(&circuit).unwrap();
         assert_same_result("rerun", &first, &again);
     }
 }
@@ -130,13 +153,14 @@ proptest! {
 
     /// Parallel ≡ sequential for arbitrary trial counts, seeds, and
     /// circuits — the determinism contract is not an artifact of the
-    /// paper's 5-restart configuration.
+    /// paper's 5-restart configuration. The sequential side is a
+    /// `route_batch` worker's inline restart loop.
     #[test]
     fn parallel_matches_sequential_for_any_trial_count(
         num_restarts in 1usize..12,
         num_traversals in 0usize..3,
         seed in any::<u64>(),
-        (n, gates, circuit_seed) in (2u32..=10, 0usize..60, any::<u64>()),
+        (n, gates, circuit_seed) in (2u32..=10, 0usize..160, any::<u64>()),
     ) {
         let num_traversals = 2 * num_traversals + 1; // must be odd
         let circuit = random::random_circuit(n, gates, 0.6, circuit_seed);
@@ -147,8 +171,11 @@ proptest! {
             ..SabreConfig::paper()
         };
         let router = SabreRouter::new(devices::ibm_q20_tokyo().graph().clone(), config).unwrap();
-        let sequential = router.route(&circuit).unwrap();
-        let parallel = router.route_parallel(&circuit).unwrap();
+        let parallel = router.route(&circuit).unwrap();
+        let sequential = router
+            .route_batch(&[circuit.clone(), circuit])
+            .swap_remove(1)
+            .unwrap();
         prop_assert_eq!(&sequential.best, &parallel.best);
         prop_assert_eq!(sequential.best_restart, parallel.best_restart);
         prop_assert_eq!(sequential.perfect_placement, parallel.perfect_placement);
@@ -158,5 +185,6 @@ proptest! {
             parallel.first_traversal_added_gates
         );
         prop_assert_eq!(parallel.traversals.len(), num_restarts * num_traversals);
+        prop_assert!(in_restart_order(&parallel));
     }
 }
