@@ -14,6 +14,8 @@ use sabre_shard::ShardConfig;
 use sabre_topology::noise::NoiseModel;
 use sabre_topology::{devices, CouplingGraph};
 
+use crate::http::Response;
+
 /// A request rejection: the HTTP status to answer with and a message for
 /// the `{"error": …}` body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,20 +27,27 @@ pub struct ApiError {
 }
 
 impl ApiError {
-    /// A `400 Bad Request`.
-    pub fn bad_request(message: impl Into<String>) -> ApiError {
+    /// An error answered with `status`.
+    pub(crate) fn new(status: u16, message: impl Into<String>) -> ApiError {
         ApiError {
-            status: 400,
+            status,
             message: message.into(),
         }
     }
 
+    /// The `{"error": message}` response every handler error becomes.
+    pub(crate) fn response(&self) -> Response {
+        Response::error(self.status, &self.message)
+    }
+
+    /// A `400 Bad Request`.
+    pub fn bad_request(message: impl Into<String>) -> ApiError {
+        ApiError::new(400, message)
+    }
+
     /// A `404 Not Found`.
     pub fn not_found(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 404,
-            message: message.into(),
-        }
+        ApiError::new(404, message)
     }
 }
 
@@ -47,13 +56,9 @@ impl ApiError {
 /// `projected_wait_ms` (the modeled queue drain ahead of this request,
 /// `0` for pure rate-limit rejections) and the `Retry-After` header
 /// rounds that up to whole seconds, floored at the configured minimum.
-pub fn too_many_requests(
-    message: &str,
-    projected_wait_ms: u64,
-    retry_after_secs: u64,
-) -> crate::http::Response {
+pub fn too_many_requests(message: &str, projected_wait_ms: u64, retry_after_secs: u64) -> Response {
     let retry_after = retry_after_secs.max(projected_wait_ms.div_ceil(1000));
-    crate::http::Response::json(
+    Response::json(
         429,
         &JsonValue::object([
             ("error", message.into()),
@@ -387,15 +392,25 @@ pub fn parse_device_id_list(value: &JsonValue) -> Result<Vec<String>, ApiError> 
     Ok(devices)
 }
 
-/// The shared `"id"` field rule for `/devices` and `/fleets` bodies.
+/// The shared `"id"` field of `/devices` and `/fleets` bodies.
 fn parse_registry_id(body: &JsonValue) -> Result<String, ApiError> {
-    body.get("id")
+    let id = body
+        .get("id")
         .and_then(JsonValue::as_str)
-        .filter(|s| !s.is_empty() && s.len() <= 128 && !s.contains('/'))
-        .map(str::to_string)
-        .ok_or_else(|| {
-            ApiError::bad_request("\"id\" must be a non-empty string without `/` (≤128 chars)")
-        })
+        .unwrap_or_default();
+    check_registry_id(id)?;
+    Ok(id.to_string())
+}
+
+/// The one id rule of the device and fleet registries: non-empty, at most
+/// 128 bytes, no `/` (ids are path segments).
+pub(crate) fn check_registry_id(id: &str) -> Result<(), ApiError> {
+    if id.is_empty() || id.len() > 128 || id.contains('/') {
+        return Err(ApiError::bad_request(
+            "\"id\" must be a non-empty string without `/` (≤128 chars)",
+        ));
+    }
+    Ok(())
 }
 
 /// Parses a `POST /devices` body into `(id, graph)`. Two forms:

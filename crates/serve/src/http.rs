@@ -49,16 +49,6 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The body as UTF-8.
-    ///
-    /// # Errors
-    ///
-    /// [`HttpError::BadRequest`] if the body is not valid UTF-8.
-    pub fn body_str(&self) -> Result<&str, HttpError> {
-        std::str::from_utf8(&self.body)
-            .map_err(|_| HttpError::BadRequest("request body is not valid UTF-8".into()))
-    }
-
     /// `/`-separated path segments, empty segments dropped
     /// (`"/devices/x/noise"` → `["devices", "x", "noise"]`).
     pub fn path_segments(&self) -> Vec<&str> {
@@ -201,11 +191,6 @@ impl RequestParser {
     /// Appends raw bytes from the transport.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Number of bytes buffered but not yet consumed by a request.
-    pub fn buffered_len(&self) -> usize {
-        self.buf.len()
     }
 
     /// Whether a request is partially received: either head bytes are
@@ -561,7 +546,7 @@ mod tests {
         assert_eq!(request.path, "/route");
         assert_eq!(request.body, b"hello");
         assert!(!parser.is_mid_request());
-        assert_eq!(parser.buffered_len(), 0);
+        assert!(matches!(parser.advance(), Ok(Parsed::Incomplete)));
     }
 
     proptest! {
@@ -705,17 +690,15 @@ mod tests {
         };
         assert_eq!(first.path, "/route");
         assert_eq!(first.body, b"body");
-        assert_eq!(
-            parser.buffered_len(),
-            b"GET /healthz HTTP/1.1\r\n\r\n".len()
-        );
+        assert!(parser.is_mid_request(), "the next request stays buffered");
         let second = match parser.advance().unwrap() {
             Parsed::Request(r) => r,
             other => panic!("expected a request, got {other:?}"),
         };
         assert_eq!(second.path, "/healthz");
         assert!(second.body.is_empty());
-        assert_eq!(parser.buffered_len(), 0);
+        assert!(!parser.is_mid_request());
+        assert!(matches!(parser.advance(), Ok(Parsed::Incomplete)));
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Bounded MPMC job queue with explicit backpressure and drain-aware
 //! close.
 //!
-//! The admission path calls [`BoundedQueue::try_push`] — it **never
-//! blocks**; a full queue is an immediate [`PushError::Full`] the HTTP
-//! layer turns into `503 + Retry-After`. Worker threads block in
-//! [`BoundedQueue::pop`]. Closing distinguishes the two shutdown modes:
+//! The admission path calls [`BoundedQueue::try_push_weighted`] — it
+//! **never blocks**; a full queue is an immediate [`PushError::Full`] the
+//! HTTP layer turns into `503 + Retry-After`. Worker threads block in
+//! [`BoundedQueue::pop_weighted`]. Closing distinguishes the two shutdown modes:
 //! [`BoundedQueue::close`] lets workers drain what was admitted (graceful
 //! shutdown), [`BoundedQueue::close_now`] hands the pending items back so
 //! the caller can fail them (abort).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Why [`BoundedQueue::try_push`] rejected an item; the item is handed
+/// Why [`BoundedQueue::try_push_weighted`] rejected an item; the item is handed
 /// back so the caller can respond about it.
 #[derive(Debug)]
 pub enum PushError<T> {
@@ -26,7 +26,7 @@ struct Inner<T> {
     items: VecDeque<(T, u64)>,
     /// Sum of the queued items' admission-time cost estimates (predicted
     /// routing steps). Admission control models queue drain time as
-    /// `pending_cost × avg ns-per-step`; unweighted pushes cost 0.
+    /// `pending_cost × avg ns-per-step`.
     pending_cost: u64,
     closed: bool,
 }
@@ -59,26 +59,26 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking push. Returns the queue depth after insertion.
+    /// The queue state. Each critical section moves items in or out and
+    /// adjusts the cost and closed flags beside them; none runs code of
+    /// `T` (items are never cloned or dropped under the lock), so a
+    /// poisoned lock still guards consistent state. It is taken as it is:
+    /// one panic elsewhere cannot stop admission or the worker pool.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Non-blocking push with an admission-time cost estimate (predicted
+    /// routing steps) that is added to [`pending_cost`](Self::pending_cost)
+    /// until the item is popped. Returns the queue depth after insertion.
     ///
     /// # Errors
     ///
     /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
     /// [`close`](Self::close)/[`close_now`](Self::close_now) — both return
     /// the rejected item.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        self.try_push_weighted(item, 0)
-    }
-
-    /// [`try_push`](Self::try_push) with an admission-time cost estimate
-    /// (predicted routing steps) that is added to
-    /// [`pending_cost`](Self::pending_cost) until the item is popped.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`try_push`](Self::try_push).
     pub fn try_push_weighted(&self, item: T, cost: u64) -> Result<usize, PushError<T>> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
+        let mut inner = self.lock();
         if inner.closed {
             return Err(PushError::Closed(item));
         }
@@ -91,18 +91,13 @@ impl<T> BoundedQueue<T> {
         Ok(inner.items.len())
     }
 
-    /// Blocking pop in FIFO order. Returns `None` once the queue is closed
-    /// **and** drained — the worker-thread exit signal.
-    pub fn pop(&self) -> Option<T> {
-        self.pop_weighted().map(|(item, _)| item)
-    }
-
-    /// [`pop`](Self::pop) that also returns the cost the item was pushed
+    /// Blocking pop in FIFO order, with the cost the item was pushed
     /// with, already subtracted from [`pending_cost`](Self::pending_cost)
     /// (the popped item is *in flight*, no longer *pending*; the service
-    /// tracks in-flight cost separately).
+    /// tracks in-flight cost separately). Returns `None` once the queue is
+    /// closed **and** drained — the worker-thread exit signal.
     pub fn pop_weighted(&self) -> Option<(T, u64)> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
+        let mut inner = self.lock();
         loop {
             if let Some((item, cost)) = inner.items.pop_front() {
                 inner.pending_cost -= cost;
@@ -111,19 +106,22 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return None;
             }
-            inner = self.not_empty.wait(inner).expect("queue poisoned");
+            inner = self
+                .not_empty
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Sum of the queued items' admission-time cost estimates.
     pub fn pending_cost(&self) -> u64 {
-        self.inner.lock().expect("queue poisoned").pending_cost
+        self.lock().pending_cost
     }
 
     /// Closes for new pushes; already-admitted items stay poppable
     /// (graceful-shutdown drain). Wakes every blocked consumer.
     pub fn close(&self) {
-        self.inner.lock().expect("queue poisoned").closed = true;
+        self.lock().closed = true;
         self.not_empty.notify_all();
     }
 
@@ -131,7 +129,7 @@ impl<T> BoundedQueue<T> {
     /// the caller can fail them (abort shutdown). Wakes every blocked
     /// consumer.
     pub fn close_now(&self) -> Vec<T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
+        let mut inner = self.lock();
         inner.closed = true;
         inner.pending_cost = 0;
         let pending = inner.items.drain(..).map(|(item, _)| item).collect();
@@ -141,7 +139,7 @@ impl<T> BoundedQueue<T> {
 
     /// Current number of queued items.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").items.len()
+        self.lock().items.len()
     }
 
     /// Whether nothing is queued.
@@ -164,15 +162,38 @@ mod tests {
     #[test]
     fn rejects_when_full_and_accepts_after_pop() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1).unwrap(), 1);
-        assert_eq!(q.try_push(2).unwrap(), 2);
-        match q.try_push(3) {
+        assert_eq!(q.try_push_weighted(1, 0).unwrap(), 1);
+        assert_eq!(q.try_push_weighted(2, 0).unwrap(), 2);
+        match q.try_push_weighted(3, 0) {
             Err(PushError::Full(3)) => {}
             other => panic!("expected Full(3), got {other:?}"),
         }
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(3).unwrap(), 2);
+        assert_eq!(q.pop_weighted(), Some((1, 0)));
+        assert_eq!(q.try_push_weighted(3, 0).unwrap(), 2);
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_lock_keeps_admitting_and_serving() {
+        let q = BoundedQueue::new(4);
+        q.try_push_weighted("before", 5).unwrap();
+        let poisoner = thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = q.inner.lock().unwrap();
+                    panic!("a panic while holding the queue lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(q.inner.is_poisoned());
+
+        assert_eq!(q.try_push_weighted("after", 7).unwrap(), 2);
+        assert_eq!(q.pending_cost(), 12);
+        assert_eq!(q.pop_weighted(), Some(("before", 5)));
+        assert_eq!(q.pop_weighted(), Some(("after", 7)));
+        q.close();
+        assert_eq!(q.pop_weighted(), None);
     }
 
     #[test]
@@ -182,7 +203,7 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some(item) = q.pop() {
+                while let Some((item, _)) = q.pop_weighted() {
                     seen.push(item);
                 }
                 seen
@@ -192,7 +213,7 @@ mod tests {
             // The single consumer may lag; retry rather than drop.
             let mut item = i;
             loop {
-                match q.try_push(item) {
+                match q.try_push_weighted(item, 0) {
                     Ok(_) => break,
                     Err(PushError::Full(back)) => {
                         item = back;
@@ -213,11 +234,11 @@ mod tests {
         assert_eq!(q.pending_cost(), 0);
         q.try_push_weighted("light", 10).unwrap();
         q.try_push_weighted("heavy", 1000).unwrap();
-        q.try_push("free").unwrap();
+        q.try_push_weighted("free", 0).unwrap();
         assert_eq!(q.pending_cost(), 1010);
         assert_eq!(q.pop_weighted(), Some(("light", 10)));
         assert_eq!(q.pending_cost(), 1000);
-        assert_eq!(q.pop(), Some("heavy"));
+        assert_eq!(q.pop_weighted(), Some(("heavy", 1000)));
         assert_eq!(q.pending_cost(), 0);
         assert_eq!(q.pop_weighted(), Some(("free", 0)));
         // close_now resets the gauge along with the items.
@@ -230,25 +251,29 @@ mod tests {
     fn close_drains_admitted_items() {
         let q = Arc::new(BoundedQueue::new(8));
         for i in 0..5 {
-            q.try_push(i).unwrap();
+            q.try_push_weighted(i, 0).unwrap();
         }
         q.close();
         // Pushes now fail closed...
-        assert!(matches!(q.try_push(99), Err(PushError::Closed(99))));
+        assert!(matches!(
+            q.try_push_weighted(99, 0),
+            Err(PushError::Closed(99))
+        ));
         // ...but every admitted item is still delivered, then None.
-        let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
+        let drained: Vec<i32> =
+            std::iter::from_fn(|| q.pop_weighted().map(|(item, _)| item)).collect();
         assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_weighted(), None);
     }
 
     #[test]
     fn close_now_hands_back_pending_items() {
         let q = BoundedQueue::new(8);
         for i in 0..3 {
-            q.try_push(i).unwrap();
+            q.try_push_weighted(i, 0).unwrap();
         }
         assert_eq!(q.close_now(), vec![0, 1, 2]);
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_weighted(), None);
         assert!(q.is_empty());
     }
 
@@ -258,7 +283,7 @@ mod tests {
         let workers: Vec<_> = (0..3)
             .map(|_| {
                 let q = Arc::clone(&q);
-                thread::spawn(move || q.pop())
+                thread::spawn(move || q.pop_weighted())
             })
             .collect();
         // Give the consumers a moment to block, then close.
@@ -277,7 +302,7 @@ mod tests {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
                     let mut seen = Vec::new();
-                    while let Some(item) = q.pop() {
+                    while let Some((item, _)) = q.pop_weighted() {
                         seen.push(item);
                     }
                     seen
@@ -291,7 +316,7 @@ mod tests {
                     for i in 0..50 {
                         let mut item = p * 1000 + i;
                         loop {
-                            match q.try_push(item) {
+                            match q.try_push_weighted(item, 0) {
                                 Ok(_) => break,
                                 Err(PushError::Full(back)) => {
                                     item = back;

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Worker threads never touch sockets: they push [`Completion`]s (token,
-//! response, phase timings) onto [`RoutingService`]'s list and nudge the
+//! response, trace notes) onto [`RoutingService`]'s list and nudge the
 //! reactor through a loopback [`Waker`] pair, and the reactor writes
 //! the bytes when the socket is ready. Tokens are generation-stamped so
 //! a completion for a connection that was reaped (and whose slot was
@@ -38,10 +38,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sabre_trace::{is_valid_trace_id, next_trace_id, unix_ms_now, RequestTrace};
+use sabre_trace::{is_valid_trace_id, next_trace_id, unix_ms_now, RequestTrace, TraceNotes};
 
 use crate::admission::RateLimiter;
-use crate::http::{Parsed, RequestParser, Response};
+use crate::http::{Parsed, Request, RequestParser, Response};
 use crate::metrics::Counter;
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::service::{dispatch, AdmitCtx, Completion, Outcome, RoutingService};
@@ -146,20 +146,43 @@ enum DeadlineKind {
 /// when the request parses, finalized (pushed into the trace ring, slow
 /// log checked) once its response is fully flushed.
 struct ActiveTrace {
-    id: String,
-    method: String,
-    target: String,
-    /// `0` until the *final* response is queued — an interim
-    /// `100 Continue` never stamps it, so it never finalizes the trace.
-    status: u16,
+    /// The record the ring receives. Its `status` is `0` until the
+    /// *final* response is queued — an interim `100 Continue` never stamps
+    /// it, so it never finalizes the trace — and `total_ns` is set when
+    /// the trace is sealed.
+    record: RequestTrace,
+    /// The request's first byte.
     started: Instant,
-    unix_ms: u64,
+    /// When the final response was queued (the `write` phase's start).
     write_started: Instant,
-    phases: Vec<(&'static str, u64)>,
-    /// Device id the request routed against (stamped by the handler).
-    device: Option<String>,
-    /// Quality outcome annotations (swaps, depth overhead, cut gates).
-    annotations: Vec<(&'static str, u64)>,
+}
+
+impl ActiveTrace {
+    /// Opens the trace of `request`, whose first byte arrived at
+    /// `started`, under trace id `id`, with its `read` phase.
+    fn open(id: String, request: &Request, started: Instant) -> ActiveTrace {
+        let target = if request.query.is_empty() {
+            request.path.clone()
+        } else {
+            format!("{}?{}", request.path, request.query)
+        };
+        ActiveTrace {
+            record: RequestTrace {
+                id,
+                method: request.method.clone(),
+                target,
+                status: 0,
+                unix_ms: unix_ms_now(),
+                total_ns: 0,
+                notes: TraceNotes {
+                    phases: vec![("read", elapsed_ns(started))],
+                    ..TraceNotes::default()
+                },
+            },
+            started,
+            write_started: started,
+        }
+    }
 }
 
 /// One connection's full state.
@@ -217,8 +240,8 @@ impl Conn {
             .write_to(&mut self.out)
             .expect("serializing into a Vec cannot fail");
         if let Some(trace) = &mut self.trace {
-            if trace.status == 0 {
-                trace.status = response.status();
+            if trace.record.status == 0 {
+                trace.record.status = response.status();
                 trace.write_started = Instant::now();
             }
         }
@@ -451,13 +474,7 @@ impl Reactor {
                 }
             }
         }
-        self.conns.len() == 0
-            && self
-                .service
-                .completions
-                .lock()
-                .expect("completion list poisoned")
-                .is_empty()
+        self.conns.len() == 0 && self.service.completions().is_empty()
     }
 
     fn poll_timeout_ms(&mut self) -> i32 {
@@ -490,64 +507,58 @@ impl Reactor {
         }
     }
 
-    /// Applies worker completions: resolve each token and start writing
-    /// its response. Stale tokens (connection reaped while the job ran)
-    /// drop the response — the generation stamp guarantees it can never
-    /// reach a recycled slot's new owner.
+    /// Applies worker completions: resolve each token, merge the
+    /// worker's notes into the request's trace, and send its response.
+    /// Stale tokens (connection reaped while the job ran) drop the
+    /// response — the generation stamp guarantees it can never reach a
+    /// recycled slot's new owner.
     fn deliver_completions(&mut self) {
-        let completed: Vec<Completion> = std::mem::take(
-            &mut *self
-                .service
-                .completions
-                .lock()
-                .expect("completion list poisoned"),
-        );
+        let completed = std::mem::take(&mut *self.service.completions());
         for Completion {
             token: tok,
             response,
-            phases,
-            device,
-            annotations,
+            notes,
         } in completed
         {
-            let draining = self.draining();
-            let write_deadline = self.write_deadline;
             let Some(conn) = self.conns.get_mut(tok) else {
                 continue;
             };
             if conn.state != ConnState::AwaitingJob {
                 continue;
             }
-            let keep = conn.keep_after_job && !draining;
-            let response = match &mut conn.trace {
-                Some(trace) => {
-                    trace.phases.extend(phases);
-                    if device.is_some() {
-                        trace.device = device;
-                    }
-                    trace.annotations.extend(annotations);
-                    response.with_header("X-Request-Id", trace.id.clone())
-                }
-                None => response,
-            };
-            let response = if keep {
-                response.keep_alive()
-            } else {
-                response
-            };
-            conn.queue_response(
-                &response,
-                if keep {
-                    AfterWrite::Resume
-                } else {
-                    AfterWrite::Close
-                },
-                write_deadline,
-            );
-            self.conn_writable(tok);
+            if let Some(trace) = &mut conn.trace {
+                trace.record.notes.merge(notes);
+            }
+            let keep = conn.keep_after_job;
+            self.respond(tok, response, keep);
             // Pipelined bytes may already hold the next request.
             self.advance_requests(tok);
         }
+    }
+
+    /// Sends the final response to a connection's current request: stamps
+    /// the trace's `X-Request-Id`, keeps the connection alive when the
+    /// request allowed it and the server is not draining, queues the bytes
+    /// and flushes what the socket takes.
+    fn respond(&mut self, tok: u64, mut response: Response, keep: bool) {
+        let keep = keep && !self.draining();
+        let write_deadline = self.write_deadline;
+        let Some(conn) = self.conns.get_mut(tok) else {
+            return;
+        };
+        if let Some(trace) = &conn.trace {
+            response = response.with_header("X-Request-Id", trace.record.id.clone());
+        }
+        if keep {
+            response = response.keep_alive();
+        }
+        let after = if keep {
+            AfterWrite::Resume
+        } else {
+            AfterWrite::Close
+        };
+        conn.queue_response(&response, after, write_deadline);
+        self.conn_writable(tok);
     }
 
     fn conn_event(&mut self, tok: u64, revents: i16) {
@@ -671,26 +682,13 @@ impl Reactor {
                             .unwrap_or_else(|| {
                                 conn.accept_trace_id.take().unwrap_or_else(next_trace_id)
                             });
-                        let target = if request.query.is_empty() {
-                            request.path.clone()
-                        } else {
-                            format!("{}?{}", request.path, request.query)
-                        };
-                        let trace = ActiveTrace {
-                            id,
-                            method: request.method.clone(),
-                            target,
-                            status: 0,
-                            started,
-                            unix_ms: unix_ms_now(),
-                            write_started: started,
-                            phases: vec![("read", elapsed_ns(started))],
-                            device: None,
-                            annotations: Vec::new(),
-                        };
-                        (conn.peer, conn.served, trace)
+                        (
+                            conn.peer,
+                            conn.served,
+                            ActiveTrace::open(id, &request, started),
+                        )
                     };
-                    let wants_ka = request.wants_keep_alive();
+                    let keep = request.wants_keep_alive() && served < self.max_requests;
                     let outcome = dispatch(
                         &self.service,
                         &request,
@@ -698,49 +696,26 @@ impl Reactor {
                             peer,
                             token: tok,
                             limiter: &mut self.limiter,
-                            trace_id: &trace.id,
-                            phases: &mut trace.phases,
-                            device: &mut trace.device,
-                            annotations: &mut trace.annotations,
+                            trace_id: &trace.record.id,
+                            notes: &mut trace.record.notes,
                         },
                     );
-                    let draining = self.draining();
-                    let write_deadline = self.write_deadline;
-                    let max_requests = self.max_requests;
                     let Some(conn) = self.conns.get_mut(tok) else {
                         return;
                     };
+                    // Install the trace first, so the response stamps its
+                    // status and the start of its write phase.
+                    conn.trace = Some(trace);
                     match outcome {
                         Outcome::Respond(response) => {
-                            let keep = wants_ka && served < max_requests && !draining;
-                            let response = response.with_header("X-Request-Id", trace.id.clone());
-                            let response = if keep {
-                                response.keep_alive()
-                            } else {
-                                response
-                            };
-                            // Install the trace before queueing so
-                            // queue_response stamps its status and the
-                            // start of the write phase.
-                            conn.trace = Some(trace);
-                            conn.queue_response(
-                                &response,
-                                if keep {
-                                    AfterWrite::Resume
-                                } else {
-                                    AfterWrite::Close
-                                },
-                                write_deadline,
-                            );
-                            self.conn_writable(tok);
+                            self.respond(tok, response, keep);
                             // Loop: if the write completed and the
                             // connection is back to Reading, pipelined
                             // bytes may hold the next request.
                         }
                         Outcome::Queued => {
-                            conn.trace = Some(trace);
                             conn.state = ConnState::AwaitingJob;
-                            conn.keep_after_job = wants_ka && served < max_requests;
+                            conn.keep_after_job = keep;
                             conn.deadline = None;
                             return;
                         }
@@ -782,7 +757,7 @@ impl Reactor {
                 // A stamped trace (final response queued) is complete
                 // once its bytes are flushed; an interim 100 Continue
                 // leaves status at 0 and the trace in place.
-                let finished = if conn.trace.as_ref().is_some_and(|t| t.status != 0) {
+                let finished = if conn.trace.as_ref().is_some_and(|t| t.record.status != 0) {
                     conn.trace.take()
                 } else {
                     None
@@ -959,21 +934,13 @@ impl Reactor {
 
     /// Seals a completed request trace: appends the write phase, records
     /// it against the slow-request log, and retains it in the debug ring.
-    fn finish_trace(&self, mut trace: ActiveTrace) {
-        trace
+    fn finish_trace(&self, trace: ActiveTrace) {
+        let mut record = trace.record;
+        record
+            .notes
             .phases
             .push(("write", elapsed_ns(trace.write_started)));
-        let record = RequestTrace {
-            id: trace.id,
-            method: trace.method,
-            target: trace.target,
-            status: trace.status,
-            unix_ms: trace.unix_ms,
-            total_ns: elapsed_ns(trace.started),
-            phases: trace.phases,
-            device: trace.device,
-            annotations: trace.annotations,
-        };
+        record.total_ns = elapsed_ns(trace.started);
         self.service.slow_log.record(&record);
         self.service.traces.push(record);
     }

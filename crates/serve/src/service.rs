@@ -9,8 +9,8 @@
 //!                   (parse + admit)       (weighted,            │
 //!                        ▲                 backpressure)        │ completions
 //!                        └──────── waker ◄──────────────────────┘
-//!                          (token, Response) pairs, written when
-//!                           the client's socket is ready
+//!                        completions (token, Response, TraceNotes),
+//!                        written when the client's socket is ready
 //! ```
 //!
 //! The reactor ([`crate::reactor`]) owns every socket and does the cheap
@@ -32,28 +32,38 @@
 //! matrices and embedding verdicts, and a `POST /devices/{id}/noise`
 //! refresh recomputes only the noise-weighted matrix — subsequent
 //! requests route with the new calibration without a restart. Workers
-//! never touch sockets: a finished job is pushed as a
-//! `(connection token, Response)` completion and the reactor is woken to
-//! deliver it.
+//! never touch sockets: a finished job is pushed as a [`Completion`] (the
+//! connection token, the response, and the job's [`TraceNotes`]) and the
+//! reactor is woken to deliver it.
+//!
+//! # One record, one error path
+//!
+//! A request's trace notes (phases, device, quality annotations) are one
+//! [`TraceNotes`]: dispatch writes the reactor's copy through
+//! [`AdmitCtx`], a worker fills its own, and the reactor folds that in
+//! with one [`TraceNotes::merge`]. Handlers return `Result<_, ApiError>`;
+//! [`ApiError::response`] is the one conversion to a response. Both ways
+//! to register a device go through [`RoutingService::register_device`].
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{IpAddr, SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use sabre::{
-    transpile_batch_cached, DeviceCache, PlanQuality, SabreConfig, SabreResult, TranspileOptions,
+    transpile_batch_cached, DeviceCache, PlanQuality, RouteError, SabreConfig, SabreResult,
+    TranspileOptions,
 };
 use sabre_circuit::Circuit;
 use sabre_json::JsonValue;
-use sabre_shard::{route_sharded, Fleet, ShardConfig};
+use sabre_shard::{route_sharded, Fleet, ShardConfig, ShardError};
 use sabre_topology::noise::NoiseModel;
 use sabre_topology::{CouplingGraph, DistanceBackend, DEVICE_CACHE_CAPACITY};
-use sabre_trace::{SlowLog, Span, TraceRing};
+use sabre_trace::{SlowLog, Span, TraceNotes, TraceRing};
 
 use crate::admission::{self, RateLimiter};
 use crate::api::{self, ApiError};
@@ -101,28 +111,27 @@ pub(crate) struct Job {
     admitted: Instant,
 }
 
-/// A finished job: the response plus the worker-side phase timings
-/// (`queue_wait`, `route`, `serialize`) the reactor folds into the
-/// request's trace before finalizing it.
+/// A finished job: the response plus the worker's trace notes (phases
+/// `queue_wait`, `route`, `serialize`; device; quality annotations), which
+/// the reactor merges into the request's trace before finalizing it.
 pub(crate) struct Completion {
     pub(crate) token: u64,
     pub(crate) response: Response,
-    pub(crate) phases: Vec<(&'static str, u64)>,
-    /// Device id the job routed against, stamped onto the trace.
-    pub(crate) device: Option<String>,
-    /// Quality outcome annotations (swaps, depth overhead, cut gates).
-    pub(crate) annotations: Vec<(&'static str, u64)>,
+    pub(crate) notes: TraceNotes,
+}
+
+/// A `POST /route` request, resolved against the registry.
+struct RouteJob {
+    device_id: String,
+    graph: Arc<CouplingGraph>,
+    noise: Option<NoiseModel>,
+    circuit: Circuit,
+    config: SabreConfig,
+    include_physical: bool,
 }
 
 enum JobKind {
-    Route {
-        device_id: String,
-        graph: Arc<CouplingGraph>,
-        noise: Option<NoiseModel>,
-        circuit: Circuit,
-        config: SabreConfig,
-        include_physical: bool,
-    },
+    Route(RouteJob),
     Batch {
         device_id: String,
         graph: Arc<CouplingGraph>,
@@ -150,8 +159,13 @@ pub const MAX_DEVICES: usize = DEVICE_CACHE_CAPACITY;
 pub const MAX_FLEETS: usize = 64;
 
 /// A named registry (devices or fleets). Registries are not caches:
-/// they never evict. A new id past `cap` is refused with a message naming
-/// the cap, while re-registering an existing id replaces it.
+/// they never evict. A new id past `cap` is refused (`409`) with a message
+/// naming the cap, while re-registering an existing id replaces it.
+///
+/// Every critical section is a lookup, a clone out, a whole-value insert
+/// or a field assignment, so a panic under the lock cannot leave an entry
+/// half-written; a poisoned lock is taken as it is, and one panic cannot
+/// fail every later request that names a device or fleet.
 struct Registry<T> {
     kind: &'static str,
     cap: usize,
@@ -168,32 +182,46 @@ impl<T> Registry<T> {
     }
 
     fn read(&self) -> RwLockReadGuard<'_, HashMap<String, T>> {
-        self.map.read().expect("registry poisoned")
+        self.map.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, T>> {
-        self.map.write().expect("registry poisoned")
+        self.map.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Refuses a new `id` once the registry is full: checked before any
     /// costly validation, and again under the write lock on insert.
-    fn admits(&self, id: &str) -> Result<(), String> {
+    fn admits(&self, id: &str) -> Result<(), ApiError> {
         self.check(&self.read(), id)
     }
 
-    fn check(&self, map: &HashMap<String, T>, id: &str) -> Result<(), String> {
+    fn check(&self, map: &HashMap<String, T>, id: &str) -> Result<(), ApiError> {
         if map.len() >= self.cap && !map.contains_key(id) {
-            return Err(format!(
-                "{} registry is full ({} ids); re-register an existing id to replace it",
-                self.kind, self.cap
+            return Err(ApiError::new(
+                409,
+                format!(
+                    "{} registry is full ({} ids); re-register an existing id to replace it",
+                    self.kind, self.cap
+                ),
             ));
         }
         Ok(())
     }
 
+    /// Every entry rendered by `entry`, sorted by id.
+    fn list(&self, entry: impl Fn(&str, &T) -> JsonValue) -> JsonValue {
+        let map = self.read();
+        let mut entries: Vec<(&String, &T)> = map.iter().collect();
+        entries.sort_by_key(|(id, _)| id.as_str());
+        entries
+            .into_iter()
+            .map(|(id, value)| entry(id, value))
+            .collect()
+    }
+
     /// Inserts `value` under `id`; reports whether an existing id was
     /// replaced.
-    fn insert(&self, id: String, value: T) -> Result<bool, String> {
+    fn insert(&self, id: String, value: T) -> Result<bool, ApiError> {
         let mut map = self.write();
         self.check(&map, &id)?;
         Ok(map.insert(id, value).is_some())
@@ -213,8 +241,9 @@ pub(crate) struct RoutingService {
     pub(crate) traces: TraceRing,
     /// Slow-request logger (stderr, text or JSONL).
     pub(crate) slow_log: SlowLog,
-    /// Finished jobs awaiting delivery by the reactor.
-    pub(crate) completions: Mutex<Vec<Completion>>,
+    /// Finished jobs awaiting delivery by the reactor; see
+    /// [`RoutingService::completions`].
+    completions: Mutex<Vec<Completion>>,
     /// Nudges the reactor out of `poll` when a completion lands.
     waker: Waker,
     /// Estimated steps of jobs popped but not yet finished — the
@@ -272,26 +301,45 @@ impl RoutingService {
         Ok((device.graph.clone(), device.noise.clone()))
     }
 
-    /// Hands a finished job's response (plus worker-side phase timings)
-    /// to the reactor for delivery.
-    pub(crate) fn complete(
-        &self,
-        token: u64,
-        response: Response,
-        phases: Vec<(&'static str, u64)>,
-        device: Option<String>,
-        annotations: Vec<(&'static str, u64)>,
-    ) {
+    /// Registers `graph` under `id`: the one path behind `POST /devices`
+    /// and [`ServerHandle::register_device`]. Checks the id rule, then the
+    /// registry cap (before any costly work), then warms the cache, which
+    /// both validates the graph (connectivity) and moves the distance
+    /// preprocessing out of the first request's latency (dense all-pairs
+    /// below the size threshold, sparse engine above it). Reports whether
+    /// an existing id was replaced.
+    fn register_device(&self, id: &str, graph: CouplingGraph) -> Result<bool, ApiError> {
+        api::check_registry_id(id)?;
+        self.devices.admits(id)?;
+        self.cache
+            .router(&graph, self.config.default_config)
+            .map_err(|e| ApiError::bad_request(format!("device rejected: {e}")))?;
+        let device = RegisteredDevice {
+            graph: Arc::new(graph),
+            noise: None,
+        };
+        self.devices.insert(id.to_string(), device)
+    }
+
+    /// The finished jobs awaiting delivery. Each critical section is one
+    /// `push`, `take` or `is_empty` on the list, so a panic under the lock
+    /// cannot leave it inconsistent; a poisoned lock is taken as it is,
+    /// and one panic cannot stop every later response from reaching its
+    /// client.
+    pub(crate) fn completions(&self) -> MutexGuard<'_, Vec<Completion>> {
         self.completions
             .lock()
-            .expect("completion list poisoned")
-            .push(Completion {
-                token,
-                response,
-                phases,
-                device,
-                annotations,
-            });
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands a finished job's response (plus the worker's trace notes) to
+    /// the reactor for delivery.
+    fn complete(&self, token: u64, response: Response, notes: TraceNotes) {
+        self.completions().push(Completion {
+            token,
+            response,
+            notes,
+        });
         self.waker.wake();
     }
 
@@ -352,31 +400,17 @@ impl ServerHandle {
     /// A human-readable reason (invalid id, disconnected graph, a new id
     /// past [`MAX_DEVICES`]).
     pub fn register_device(&self, id: &str, graph: &CouplingGraph) -> Result<(), String> {
-        if id.is_empty() || id.contains('/') || id.len() > 128 {
-            return Err("device id must be non-empty, without `/`, ≤128 chars".into());
-        }
-        self.service.devices.admits(id)?;
         self.service
-            .cache
-            .router(graph, self.service.config.default_config)
-            .map_err(|e| e.to_string())?;
-        let device = RegisteredDevice {
-            graph: Arc::new(graph.clone()),
-            noise: None,
-        };
-        self.service.devices.insert(id.to_string(), device)?;
-        Ok(())
+            .register_device(id, graph.clone())
+            .map(|_replaced| ())
+            .map_err(|e| e.message)
     }
 
     fn stop(&mut self, abort: bool) {
         self.service.draining.store(true, Ordering::Release);
         self.service.waker.wake();
         if abort {
-            for job in self.service.queue.close_now() {
-                let response = unavailable(&self.service, "service is shutting down");
-                self.service
-                    .complete(job.token, response, Vec::new(), None, Vec::new());
-            }
+            self.fail_queued();
         } else {
             self.service.queue.close();
         }
@@ -385,16 +419,21 @@ impl ServerHandle {
         }
         // With a frozen pool (workers == 0) a graceful close drains
         // nothing; fail whatever is left so no client hangs.
-        for job in self.service.queue.close_now() {
-            let response = unavailable(&self.service, "service is shutting down");
-            self.service
-                .complete(job.token, response, Vec::new(), None, Vec::new());
-        }
+        self.fail_queued();
         // Every job is now resolved; the reactor exits once the last
         // response is flushed (or the drain deadline reaps stragglers).
         self.service.waker.wake();
         if let Some(reactor) = self.reactor_thread.take() {
             let _ = reactor.join();
+        }
+    }
+
+    /// Closes the queue and answers every job still in it with `503`.
+    fn fail_queued(&self) {
+        for job in self.service.queue.close_now() {
+            let response = unavailable(&self.service, "service is shutting down");
+            self.service
+                .complete(job.token, response, TraceNotes::default());
         }
     }
 }
@@ -464,25 +503,30 @@ pub(crate) struct AdmitCtx<'a> {
     pub(crate) limiter: &'a mut RateLimiter,
     /// The request's trace id, copied onto queued jobs.
     pub(crate) trace_id: &'a str,
-    /// The request trace's phase log; dispatch appends the phases it
-    /// times (`parse`, `plan_cache`, `rebind`, `admission`).
-    pub(crate) phases: &'a mut Vec<(&'static str, u64)>,
-    /// The request trace's device stamp; the inline plan-cache hit path
-    /// fills it (worker jobs report theirs via [`Completion`]).
-    pub(crate) device: &'a mut Option<String>,
-    /// The request trace's quality annotations (same split as `device`).
-    pub(crate) annotations: &'a mut Vec<(&'static str, u64)>,
+    /// The request trace's notes. Dispatch appends the phases it times
+    /// (`parse`, `plan_cache`, `rebind`, `admission`), and the inline
+    /// plan-cache hit also stamps the device and quality annotations
+    /// (worker jobs bring theirs back in their [`Completion`]).
+    pub(crate) notes: &'a mut TraceNotes,
 }
 
 /// Routes one parsed request. Cheap endpoints (health, metrics,
 /// registration, listings) are answered inline on the reactor thread;
 /// routing work is priced, admission-checked, and queued for the worker
-/// pool.
+/// pool. A handler's [`ApiError`] becomes its response here.
 pub(crate) fn dispatch(
     service: &RoutingService,
     request: &Request,
     ctx: &mut AdmitCtx<'_>,
 ) -> Outcome {
+    handle(service, request, ctx).unwrap_or_else(|e| Outcome::Respond(e.response()))
+}
+
+fn handle(
+    service: &RoutingService,
+    request: &Request,
+    ctx: &mut AdmitCtx<'_>,
+) -> Result<Outcome, ApiError> {
     let segments = request.path_segments();
     let m = &service.metrics;
     let response = match (request.method.as_str(), segments.as_slice()) {
@@ -501,21 +545,21 @@ pub(crate) fn dispatch(
                 ),
             )
         }
-        ("GET", ["debug", "traces"]) => debug_traces(service, request),
+        ("GET", ["debug", "traces"]) => debug_traces(service, request)?,
         ("GET", ["debug", "quality"]) => Response::json(200, &service.metrics.quality.to_json()),
         ("GET", ["devices"]) => list_devices(service),
         ("POST", ["devices"]) => {
             m.add(Counter::RequestsDevices, 1);
-            register_device(service, request)
+            register_device(service, request)?
         }
         ("POST", ["devices", id, "noise"]) => {
             m.add(Counter::RequestsNoise, 1);
-            refresh_noise(service, id, request)
+            refresh_noise(service, id, request)?
         }
         ("GET", ["fleets"]) => list_fleets(service),
         ("POST", ["fleets"]) => {
             m.add(Counter::RequestsFleets, 1);
-            register_fleet(service, request)
+            register_fleet(service, request)?
         }
         ("POST", ["route"]) => {
             m.add(Counter::RequestsRoute, 1);
@@ -536,11 +580,11 @@ pub(crate) fn dispatch(
         )
         | (_, ["devices", _, "noise"])
         | (_, ["debug", "traces" | "quality"]) => {
-            Response::error(405, "method not allowed on this path")
+            return Err(ApiError::new(405, "method not allowed on this path"))
         }
-        _ => Response::error(404, "no such endpoint"),
+        _ => return Err(ApiError::not_found("no such endpoint")),
     };
-    Outcome::Respond(response)
+    Ok(Outcome::Respond(response))
 }
 
 /// `GET /debug/traces`: the retained request traces, newest first. Each
@@ -548,18 +592,16 @@ pub(crate) fn dispatch(
 /// timestamps, and the per-phase nanosecond breakdown). An optional
 /// `?limit=N` (N ≥ 1) returns only the N newest traces; the `count`
 /// field still reports the full ring occupancy.
-fn debug_traces(service: &RoutingService, request: &Request) -> Response {
+fn debug_traces(service: &RoutingService, request: &Request) -> Result<Response, ApiError> {
     let limit = match request.query_param("limit") {
         None => usize::MAX,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                return Response::error(
-                    400,
-                    "\"limit\" must be a positive integer number of traces",
-                )
-            }
-        },
+        Some(raw) => raw
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| {
+                ApiError::bad_request("\"limit\" must be a positive integer number of traces")
+            })?,
     };
     let traces: JsonValue = service
         .traces
@@ -568,14 +610,14 @@ fn debug_traces(service: &RoutingService, request: &Request) -> Response {
         .take(limit)
         .map(|trace| JsonValue::parse(&trace.to_json_line()).expect("trace lines are valid JSON"))
         .collect();
-    Response::json(
+    Ok(Response::json(
         200,
         &JsonValue::object([
             ("capacity", service.traces.capacity().into()),
             ("count", service.traces.len().into()),
             ("traces", traces),
         ]),
-    )
+    ))
 }
 
 fn healthz(service: &RoutingService) -> Response {
@@ -606,90 +648,53 @@ fn distance_engine_name(graph: &CouplingGraph) -> &'static str {
 }
 
 fn list_devices(service: &RoutingService) -> Response {
-    let devices = service.devices.read();
-    let mut entries: Vec<(&String, &RegisteredDevice)> = devices.iter().collect();
-    entries.sort_by_key(|(id, _)| id.as_str());
-    Response::json(
-        200,
-        &JsonValue::object([(
-            "devices",
-            entries
-                .into_iter()
-                .map(|(id, device)| {
-                    JsonValue::object([
-                        ("id", id.as_str().into()),
-                        ("num_qubits", device.graph.num_qubits().into()),
-                        ("num_edges", device.graph.num_edges().into()),
-                        ("noise_aware", device.noise.is_some().into()),
-                        ("distance", distance_engine_name(&device.graph).into()),
-                    ])
-                })
-                .collect(),
-        )]),
-    )
+    let devices = service.devices.list(|id, device| {
+        JsonValue::object([
+            ("id", id.into()),
+            ("num_qubits", device.graph.num_qubits().into()),
+            ("num_edges", device.graph.num_edges().into()),
+            ("noise_aware", device.noise.is_some().into()),
+            ("distance", distance_engine_name(&device.graph).into()),
+        ])
+    });
+    Response::json(200, &JsonValue::object([("devices", devices)]))
 }
 
-fn register_device(service: &RoutingService, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(body) => body,
-        Err(response) => return response,
-    };
-    let (id, graph) = match api::parse_device_registration(&body) {
-        Ok(parsed) => parsed,
-        Err(e) => return Response::error(e.status, &e.message),
-    };
-    if let Err(message) = service.devices.admits(&id) {
-        return Response::error(409, &message);
-    }
-    // Warm the cache now: this both validates the graph (connectivity) and
-    // moves the distance preprocessing out of the first request's latency
-    // (dense all-pairs below the size threshold, sparse engine above it).
-    if let Err(e) = service.cache.router(&graph, service.config.default_config) {
-        return Response::error(400, &format!("device rejected: {e}"));
-    }
-    let entry = RegisteredDevice {
-        graph: Arc::new(graph),
-        noise: None,
-    };
+fn register_device(service: &RoutingService, request: &Request) -> Result<Response, ApiError> {
+    let (id, graph) = api::parse_device_registration(&parse_body(request)?)?;
     let body = JsonValue::object([
         ("id", id.as_str().into()),
-        ("num_qubits", entry.graph.num_qubits().into()),
-        ("num_edges", entry.graph.num_edges().into()),
-        ("distance", distance_engine_name(&entry.graph).into()),
+        ("num_qubits", graph.num_qubits().into()),
+        ("num_edges", graph.num_edges().into()),
+        ("distance", distance_engine_name(&graph).into()),
     ]);
-    match service.devices.insert(id, entry) {
-        Ok(replaced) => Response::json(if replaced { 200 } else { 201 }, &body),
-        Err(message) => Response::error(409, &message),
-    }
+    let replaced = service.register_device(&id, graph)?;
+    Ok(Response::json(if replaced { 200 } else { 201 }, &body))
 }
 
-fn refresh_noise(service: &RoutingService, id: &str, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(body) => body,
-        Err(response) => return response,
-    };
-    let (graph, _) = match service.device(id) {
-        Ok(device) => device,
-        Err(e) => return Response::error(e.status, &e.message),
-    };
-    if body.get("clear").and_then(JsonValue::as_bool) == Some(true) {
+fn refresh_noise(
+    service: &RoutingService,
+    id: &str,
+    request: &Request,
+) -> Result<Response, ApiError> {
+    let body = parse_body(request)?;
+    let (graph, _) = service.device(id)?;
+    if flag(&body, "clear", false) {
         if let Some(device) = service.devices.write().get_mut(id) {
             device.noise = None;
         }
-        return Response::json(
+        return Ok(Response::json(
             200,
             &JsonValue::object([("id", id.into()), ("cleared", true.into())]),
-        );
+        ));
     }
-    let noise = match api::parse_noise_spec(&body, &graph) {
-        Ok(noise) => noise,
-        Err(e) => return Response::error(e.status, &e.message),
-    };
+    let noise = api::parse_noise_spec(&body, &graph)?;
     // Recompute the weighted matrix once, now — every subsequent request
     // acquires it warm. This is the live-calibration path: no restart.
-    if let Err(e) = service.cache.refresh_noise(&graph, &noise) {
-        return Response::error(400, &format!("calibration rejected: {e}"));
-    }
+    service
+        .cache
+        .refresh_noise(&graph, &noise)
+        .map_err(|e| ApiError::bad_request(format!("calibration rejected: {e}")))?;
     let fingerprint = noise.fingerprint();
     if let Some(device) = service.devices.write().get_mut(id) {
         // The noise was validated against the graph snapshot read above;
@@ -697,80 +702,52 @@ fn refresh_noise(service: &RoutingService, id: &str, request: &Request) -> Respo
         // between, attaching it would pair a noise model with a graph it
         // wasn't built for (routing would later panic on a missing edge).
         if !Arc::ptr_eq(&device.graph, &graph) {
-            return Response::error(
+            return Err(ApiError::new(
                 409,
                 "device was re-registered during the refresh; resubmit the calibration",
-            );
+            ));
         }
         device.noise = Some(noise);
     }
-    Response::json(
+    Ok(Response::json(
         200,
         &JsonValue::object([("id", id.into()), ("noise_fingerprint", fingerprint.into())]),
-    )
+    ))
 }
 
 /// `POST /fleets`: names an ordered list of registered devices so
 /// `/route_sharded` requests can reference the group by one id. Device
 /// graphs are resolved at request time, so a later re-registration or
 /// calibration refresh is picked up automatically.
-fn register_fleet(service: &RoutingService, request: &Request) -> Response {
-    let body = match parse_body(request) {
-        Ok(body) => body,
-        Err(response) => return response,
-    };
-    let (id, device_ids) = match api::parse_fleet_registration(&body) {
-        Ok(parsed) => parsed,
-        Err(e) => return Response::error(e.status, &e.message),
-    };
+fn register_fleet(service: &RoutingService, request: &Request) -> Result<Response, ApiError> {
+    let (id, device_ids) = api::parse_fleet_registration(&parse_body(request)?)?;
     // Every named device must exist now — a typo should fail loudly at
     // registration, not at the first routing request.
     for device in &device_ids {
-        if let Err(e) = service.device(device) {
-            return Response::error(e.status, &e.message);
-        }
+        service.device(device)?;
     }
-    let body = JsonValue::object([
-        ("id", id.as_str().into()),
+    let body = fleet_json(&id, &device_ids);
+    let replaced = service.fleets.insert(id, device_ids)?;
+    Ok(Response::json(if replaced { 200 } else { 201 }, &body))
+}
+
+fn list_fleets(service: &RoutingService) -> Response {
+    let fleets = service.fleets.list(|id, devices| fleet_json(id, devices));
+    Response::json(200, &JsonValue::object([("fleets", fleets)]))
+}
+
+/// A fleet as `POST /fleets` and `GET /fleets` show it.
+fn fleet_json(id: &str, devices: &[String]) -> JsonValue {
+    JsonValue::object([
+        ("id", id.into()),
         (
             "devices",
-            device_ids
+            devices
                 .iter()
                 .map(|d| JsonValue::from(d.as_str()))
                 .collect(),
         ),
-    ]);
-    match service.fleets.insert(id, device_ids) {
-        Ok(replaced) => Response::json(if replaced { 200 } else { 201 }, &body),
-        Err(message) => Response::error(409, &message),
-    }
-}
-
-fn list_fleets(service: &RoutingService) -> Response {
-    let fleets = service.fleets.read();
-    let mut entries: Vec<(&String, &Vec<String>)> = fleets.iter().collect();
-    entries.sort_by_key(|(id, _)| id.as_str());
-    Response::json(
-        200,
-        &JsonValue::object([(
-            "fleets",
-            entries
-                .into_iter()
-                .map(|(id, devices)| {
-                    JsonValue::object([
-                        ("id", id.as_str().into()),
-                        (
-                            "devices",
-                            devices
-                                .iter()
-                                .map(|d| JsonValue::from(d.as_str()))
-                                .collect(),
-                        ),
-                    ])
-                })
-                .collect(),
-        )]),
-    )
+    ])
 }
 
 /// Resolves a `/route_sharded` body: the member devices (either a
@@ -799,7 +776,7 @@ fn parse_sharded_request(service: &RoutingService, body: &JsonValue) -> Result<J
             ));
         }
     };
-    let ignore_noise = body.get("ignore_noise").and_then(JsonValue::as_bool) == Some(true);
+    let ignore_noise = flag(body, "ignore_noise", false);
     let members = device_ids
         .into_iter()
         .map(|id| {
@@ -812,54 +789,57 @@ fn parse_sharded_request(service: &RoutingService, body: &JsonValue) -> Result<J
             .ok_or_else(|| ApiError::bad_request("missing \"circuit\""))?,
     )?;
     let config = api::apply_shard_overrides(body, service.config.default_config)?;
-    let include_physical = body
-        .get("include_physical")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(false);
     Ok(JobKind::Sharded {
         members,
         circuit,
         config,
-        include_physical,
+        include_physical: flag(body, "include_physical", false),
     })
+}
+
+/// A boolean body field; `default` when it is absent or not a boolean.
+fn flag(body: &JsonValue, name: &str, default: bool) -> bool {
+    body.get(name)
+        .and_then(JsonValue::as_bool)
+        .unwrap_or(default)
+}
+
+/// The registered device a `/route` or `/transpile_batch` body names,
+/// with its calibration unless the body sets `"ignore_noise"`.
+fn named_device(
+    service: &RoutingService,
+    body: &JsonValue,
+) -> Result<(String, Arc<CouplingGraph>, Option<NoiseModel>), ApiError> {
+    let id = body
+        .get("device")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| ApiError::bad_request("\"device\" must name a registered device"))?;
+    let (graph, noise) = service.device(id)?;
+    let noise = noise.filter(|_| !flag(body, "ignore_noise", false));
+    Ok((id.to_string(), graph, noise))
 }
 
 fn parse_route_request(service: &RoutingService, body: &JsonValue) -> Result<JobKind, ApiError> {
     api::as_object(body)?;
-    let device_id = body
-        .get("device")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ApiError::bad_request("\"device\" must name a registered device"))?;
-    let (graph, mut noise) = service.device(device_id)?;
+    let (device_id, graph, noise) = named_device(service, body)?;
     let circuit = api::parse_circuit(
         body.get("circuit")
             .ok_or_else(|| ApiError::bad_request("missing \"circuit\""))?,
     )?;
     let config = api::apply_config_overrides(body.get("config"), service.config.default_config)?;
-    if body.get("ignore_noise").and_then(JsonValue::as_bool) == Some(true) {
-        noise = None;
-    }
-    let include_physical = body
-        .get("include_physical")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(true);
-    Ok(JobKind::Route {
-        device_id: device_id.to_string(),
+    Ok(JobKind::Route(RouteJob {
+        device_id,
         graph,
         noise,
         circuit,
         config,
-        include_physical,
-    })
+        include_physical: flag(body, "include_physical", true),
+    }))
 }
 
 fn parse_batch_request(service: &RoutingService, body: &JsonValue) -> Result<JobKind, ApiError> {
     api::as_object(body)?;
-    let device_id = body
-        .get("device")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ApiError::bad_request("\"device\" must name a registered device"))?;
-    let (graph, mut noise) = service.device(device_id)?;
+    let (device_id, graph, noise) = named_device(service, body)?;
     let specs = body
         .get("circuits")
         .and_then(JsonValue::as_array)
@@ -875,29 +855,18 @@ fn parse_batch_request(service: &RoutingService, body: &JsonValue) -> Result<Job
                 .map_err(|e| ApiError::bad_request(format!("circuit {i}: {}", e.message)))
         })
         .collect::<Result<Vec<Circuit>, ApiError>>()?;
-    let config = api::apply_config_overrides(body.get("config"), service.config.default_config)?;
-    if body.get("ignore_noise").and_then(JsonValue::as_bool) == Some(true) {
-        noise = None;
-    }
     let options = TranspileOptions {
-        config,
+        config: api::apply_config_overrides(body.get("config"), service.config.default_config)?,
         noise,
         direction: None,
-        skip_optimizer: body
-            .get("skip_optimizer")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
+        skip_optimizer: flag(body, "skip_optimizer", false),
     };
-    let include_physical = body
-        .get("include_physical")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(false);
     Ok(JobKind::Batch {
-        device_id: device_id.to_string(),
+        device_id,
         graph,
         circuits,
         options,
-        include_physical,
+        include_physical: flag(body, "include_physical", false),
     })
 }
 
@@ -909,124 +878,116 @@ fn admit_job(
     request: &Request,
     ctx: &mut AdmitCtx<'_>,
     parse: impl FnOnce(&RoutingService, &JsonValue) -> Result<JobKind, ApiError>,
-) -> Outcome {
+) -> Result<Outcome, ApiError> {
     if ctx.limiter.enabled() && !ctx.limiter.allow(ctx.peer, Instant::now()) {
         service.metrics.add(Counter::ShedRateLimited, 1);
-        return Outcome::Respond(api::too_many_requests(
+        return Ok(Outcome::Respond(api::too_many_requests(
             "rate limit exceeded for this client",
             0,
             u64::from(service.config.retry_after_secs),
-        ));
+        )));
     }
     let parse_span = Span::now();
-    let body = match parse_body(request) {
-        Ok(body) => body,
-        Err(response) => return Outcome::Respond(response),
-    };
-    let mut kind = match parse(service, &body) {
-        Ok(kind) => kind,
-        Err(e) => return Outcome::Respond(Response::error(e.status, &e.message)),
-    };
-    ctx.phases.push(("parse", parse_span.elapsed_ns()));
-    // The `?profile=true` query flag switches on the hot-loop profiler
-    // for this request, equivalent to `"config": {"profile": true}`.
-    if let JobKind::Route { config, .. } = &mut kind {
+    let mut kind = parse(service, &parse_body(request)?)?;
+    ctx.notes.phases.push(("parse", parse_span.elapsed_ns()));
+    if let JobKind::Route(job) = &mut kind {
+        // The `?profile=true` query flag switches on the hot-loop profiler
+        // for this request, equivalent to `"config": {"profile": true}`.
         if request.query_flag("profile") {
-            config.profile = true;
+            job.config.profile = true;
         }
-    }
-    // Routed-plan fast path, checked *before* admission pricing: a
-    // `/route` whose structure is already cached needs no search steps,
-    // so queueing it behind priced work (or shedding it against the SLO)
-    // would be pure waste. Re-binding is microseconds of parameter
-    // stamping — cheap enough to answer inline on the reactor thread.
-    // Profiled requests bypass the cache: a rebind runs zero search, so
-    // it has no hot-loop profile to report — they must reach a worker.
-    if let JobKind::Route {
-        device_id,
-        graph,
-        noise,
-        circuit,
-        config,
-        include_physical,
-    } = &kind
-    {
-        if !config.profile {
-            let lookup_span = Span::now();
-            let cached =
-                service
-                    .cache
-                    .plans()
-                    .lookup_with_quality(circuit, graph, noise.as_ref(), config);
-            let lookup_ns = lookup_span.elapsed_ns();
-            if let Some((result, quality)) = cached {
-                let m = &service.metrics;
-                let rebind_ns = result.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-                m.observe(Hist::RebindNs, rebind_ns);
-                m.add(Counter::PlanCacheInlineHits, 1);
-                m.add(Counter::CircuitsRouted, 1);
-                // The quality rides the cached plan (computed once at the
-                // original miss) — zero recompute on this inline path.
-                m.observe_quality(device_id, &quality);
-                *ctx.device = Some(device_id.clone());
-                ctx.annotations.push(("swaps", quality.num_swaps as u64));
-                ctx.annotations
-                    .push(("depth_overhead", quality.depth_overhead as u64));
-                // The rebind ran *inside* the lookup (`result.elapsed`
-                // timed it); report the two as disjoint slices instead of
-                // counting the rebind twice.
-                ctx.phases
-                    .push(("plan_cache", lookup_ns.saturating_sub(rebind_ns)));
-                ctx.phases.push(("rebind", rebind_ns));
-                // Deliberately not record_routing(): a rebind runs zero
-                // search steps, and folding its wall time into the
-                // ns-per-step price would corrupt the admission model.
-                let serialize_span = Span::now();
-                let response = route_response(
-                    device_id,
-                    noise.is_some(),
-                    config.seed,
-                    "hit",
-                    &result,
-                    &quality,
-                    *include_physical,
-                );
-                ctx.phases.push(("serialize", serialize_span.elapsed_ns()));
-                return Outcome::Respond(response);
+        // Profiled requests bypass the cache: a rebind runs zero search,
+        // so it has no hot-loop profile to report — they must reach a
+        // worker.
+        if !job.config.profile {
+            if let Some(response) = route_from_plan_cache(service, job, ctx.notes) {
+                return Ok(Outcome::Respond(response));
             }
-            ctx.phases.push(("plan_cache", lookup_ns));
         }
     }
-    admit(service, kind, ctx)
+    Ok(admit(service, kind, ctx))
 }
 
-/// The `POST /route` success body, shared by the inline plan-cache hit
-/// path (reactor thread) and the full-route worker path so the two are
-/// structurally identical apart from the `plan_cache` tag.
-fn route_response(
-    device_id: &str,
-    noise_aware: bool,
-    seed: u64,
+/// Routed-plan fast path, checked *before* admission pricing: a `/route`
+/// whose structure is already cached needs no search steps, so queueing
+/// it behind priced work (or shedding it against the SLO) would be pure
+/// waste. Re-binding is microseconds of parameter stamping — cheap
+/// enough to answer inline on the reactor thread. `None` on a miss.
+fn route_from_plan_cache(
+    service: &RoutingService,
+    job: &RouteJob,
+    notes: &mut TraceNotes,
+) -> Option<Response> {
+    let lookup_span = Span::now();
+    let cached = service.cache.plans().lookup_with_quality(
+        &job.circuit,
+        &job.graph,
+        job.noise.as_ref(),
+        &job.config,
+    );
+    let lookup_ns = lookup_span.elapsed_ns();
+    let Some((result, quality)) = cached else {
+        notes.phases.push(("plan_cache", lookup_ns));
+        return None;
+    };
+    let m = &service.metrics;
+    let rebind_ns = result.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+    m.observe(Hist::RebindNs, rebind_ns);
+    m.add(Counter::PlanCacheInlineHits, 1);
+    m.add(Counter::CircuitsRouted, 1);
+    // The rebind ran *inside* the lookup (`result.elapsed` timed it);
+    // report the two as disjoint slices instead of counting the rebind
+    // twice.
+    notes
+        .phases
+        .push(("plan_cache", lookup_ns.saturating_sub(rebind_ns)));
+    notes.phases.push(("rebind", rebind_ns));
+    // Deliberately not record_routing(): a rebind runs zero search steps,
+    // and folding its wall time into the ns-per-step price would corrupt
+    // the admission model. The quality rides the cached plan (computed
+    // once at the original miss) — zero recompute on this inline path.
+    Some(finish_route(service, job, "hit", &result, &quality, notes))
+}
+
+/// The end of every `POST /route`, shared by the inline plan-cache hit
+/// (reactor thread) and the full-route worker path so the two are
+/// structurally identical apart from the `plan_cache` tag: observe the
+/// plan's quality for its device, stamp the device and the quality on
+/// the trace, and serialize the response (the `serialize` phase).
+fn finish_route(
+    service: &RoutingService,
+    job: &RouteJob,
     plan_cache: &str,
     result: &SabreResult,
     quality: &PlanQuality,
-    include_physical: bool,
+    notes: &mut TraceNotes,
 ) -> Response {
+    service.metrics.observe_quality(&job.device_id, quality);
+    notes.device = Some(job.device_id.clone());
+    notes.annotations.push(("swaps", quality.num_swaps as u64));
+    notes
+        .annotations
+        .push(("depth_overhead", quality.depth_overhead as u64));
+    let serialize_span = Span::now();
     let mut fields = vec![
-        ("device", JsonValue::from(device_id)),
-        ("noise_aware", noise_aware.into()),
-        ("seed", seed.into()),
+        ("device", JsonValue::from(job.device_id.as_str())),
+        ("noise_aware", job.noise.is_some().into()),
+        ("seed", job.config.seed.into()),
         ("plan_cache", plan_cache.into()),
         ("quality", quality.to_json()),
         ("result", result.to_json()),
     ];
-    if include_physical {
+    if job.include_physical {
         fields.push((
             "physical_qasm",
             sabre_qasm::to_qasm(&result.best.physical).into(),
         ));
     }
-    Response::json(200, &JsonValue::object(fields))
+    let response = Response::json(200, &JsonValue::object(fields));
+    notes
+        .phases
+        .push(("serialize", serialize_span.elapsed_ns()));
+    response
 }
 
 /// Predicted-cost admission: price the backlog at the live per-step
@@ -1043,7 +1004,9 @@ fn admit(service: &RoutingService, kind: JobKind, ctx: &mut AdmitCtx<'_>) -> Out
     let slo_ms = service.config.admission_slo_ms;
     if slo_ms > 0 && wait_ms > slo_ms {
         service.metrics.add(Counter::ShedPredictedSlo, 1);
-        ctx.phases.push(("admission", admission_span.elapsed_ns()));
+        ctx.notes
+            .phases
+            .push(("admission", admission_span.elapsed_ns()));
         return Outcome::Respond(api::too_many_requests(
             &format!("predicted queue wait {wait_ms}ms exceeds the admission SLO ({slo_ms}ms)"),
             wait_ms,
@@ -1057,7 +1020,9 @@ fn admit(service: &RoutingService, kind: JobKind, ctx: &mut AdmitCtx<'_>) -> Out
     // phases-are-disjoint-slices contract the trace ring guarantees.
     // `admitted` is stamped after the span closes for the same reason:
     // `queue_wait` starts exactly where `admission` ends.
-    ctx.phases.push(("admission", admission_span.elapsed_ns()));
+    ctx.notes
+        .phases
+        .push(("admission", admission_span.elapsed_ns()));
     let job = Job {
         kind,
         token: ctx.token,
@@ -1083,12 +1048,10 @@ fn admit(service: &RoutingService, kind: JobKind, ctx: &mut AdmitCtx<'_>) -> Out
 /// model and the live `avg_ns_per_step` throughput share.
 fn job_cost(kind: &JobKind) -> u64 {
     match kind {
-        JobKind::Route {
-            circuit, config, ..
-        } => admission::estimate_steps(
-            circuit.num_two_qubit_gates(),
-            config.num_restarts,
-            config.num_traversals,
+        JobKind::Route(job) => admission::estimate_steps(
+            job.circuit.num_two_qubit_gates(),
+            job.config.num_restarts,
+            job.config.num_traversals,
         ),
         JobKind::Batch {
             circuits, options, ..
@@ -1125,27 +1088,21 @@ fn worker_loop(service: &Arc<RoutingService>) {
         // The popped job's steps move from the queued half of the
         // backlog to the in-flight half until it finishes.
         service.inflight_cost.fetch_add(cost, Ordering::Relaxed);
-        let mut phases: Vec<(&'static str, u64)> = vec![("queue_wait", queue_wait_ns)];
-        let mut device: Option<String> = None;
-        let mut annotations: Vec<(&'static str, u64)> = Vec::new();
-        let response = catch_unwind(AssertUnwindSafe(|| {
-            execute(
-                service,
-                &job.kind,
-                &mut phases,
-                &mut device,
-                &mut annotations,
-            )
-        }))
-        .unwrap_or_else(|_| {
-            Response::error(
-                500,
-                &format!(
-                    "internal error executing the job (request {})",
-                    job.trace_id
-                ),
-            )
-        });
+        let mut notes = TraceNotes {
+            phases: vec![("queue_wait", queue_wait_ns)],
+            ..TraceNotes::default()
+        };
+        let response = catch_unwind(AssertUnwindSafe(|| execute(service, &job.kind, &mut notes)))
+            .unwrap_or_else(|_| {
+                Err(ApiError::new(
+                    500,
+                    format!(
+                        "internal error executing the job (request {})",
+                        job.trace_id
+                    ),
+                ))
+            })
+            .unwrap_or_else(|e| e.response());
         service.inflight_cost.fetch_sub(cost, Ordering::Relaxed);
         let finished = if response.status() < 400 {
             Counter::JobsCompleted
@@ -1153,46 +1110,37 @@ fn worker_loop(service: &Arc<RoutingService>) {
             Counter::JobsFailed
         };
         service.metrics.add(finished, 1);
-        service.complete(job.token, response, phases, device, annotations);
+        service.complete(job.token, response, notes);
     }
 }
 
 fn execute(
     service: &RoutingService,
     kind: &JobKind,
-    phases: &mut Vec<(&'static str, u64)>,
-    device: &mut Option<String>,
-    annotations: &mut Vec<(&'static str, u64)>,
-) -> Response {
+    notes: &mut TraceNotes,
+) -> Result<Response, ApiError> {
     match kind {
-        JobKind::Route {
-            device_id,
-            graph,
-            noise,
-            circuit,
-            config,
-            include_physical,
-        } => {
+        JobKind::Route(job) => {
             let route_span = Span::now();
-            let router = match noise {
-                Some(noise) => service.cache.router_with_noise(graph, *config, noise),
-                None => service.cache.router(graph, *config),
-            };
-            let router = match router {
-                Ok(router) => router,
-                Err(e) => return Response::error(422, &format!("routing failed: {e}")),
-            };
-            let result = match router.route(circuit) {
-                Ok(result) => result,
-                Err(e) => return Response::error(422, &format!("routing failed: {e}")),
-            };
-            phases.push(("route", route_span.elapsed_ns()));
+            let routing_failed = |e: RouteError| ApiError::new(422, format!("routing failed: {e}"));
+            let router = match &job.noise {
+                Some(noise) => service
+                    .cache
+                    .router_with_noise(&job.graph, job.config, noise),
+                None => service.cache.router(&job.graph, job.config),
+            }
+            .map_err(routing_failed)?;
+            let result = router.route(&job.circuit).map_err(routing_failed)?;
+            notes.phases.push(("route", route_span.elapsed_ns()));
             // Cache the routed plan so the next submission of this
             // structure (any parameters) re-binds inline at dispatch.
-            service
-                .cache
-                .plans()
-                .insert(circuit, graph, noise.as_ref(), config, &result);
+            service.cache.plans().insert(
+                &job.circuit,
+                &job.graph,
+                job.noise.as_ref(),
+                &job.config,
+                &result,
+            );
             service.metrics.record_routing(
                 result.elapsed.as_nanos(),
                 result.total_search_steps(),
@@ -1208,23 +1156,8 @@ fn execute(
             }
             // Quality runs post-route, off the hot loop: one decomposed-
             // depth pass plus a log-fidelity sum over the output gates.
-            let quality = PlanQuality::of_result(circuit, &result, noise.as_ref());
-            service.metrics.observe_quality(device_id, &quality);
-            *device = Some(device_id.clone());
-            annotations.push(("swaps", quality.num_swaps as u64));
-            annotations.push(("depth_overhead", quality.depth_overhead as u64));
-            let serialize_span = Span::now();
-            let response = route_response(
-                device_id,
-                noise.is_some(),
-                config.seed,
-                "miss",
-                &result,
-                &quality,
-                *include_physical,
-            );
-            phases.push(("serialize", serialize_span.elapsed_ns()));
-            response
+            let quality = PlanQuality::of_result(&job.circuit, &result, job.noise.as_ref());
+            Ok(finish_route(service, job, "miss", &result, &quality, notes))
         }
         JobKind::Sharded {
             members,
@@ -1232,26 +1165,23 @@ fn execute(
             config,
             include_physical,
         } => {
+            let sharding_failed =
+                |e: ShardError| ApiError::new(422, format!("sharded routing failed: {e}"));
             let mut fleet = Fleet::new();
             let noise_aware = members.iter().any(|(_, _, noise)| noise.is_some());
             for (id, graph, noise) in members {
-                let registered = match noise {
+                match noise {
                     Some(noise) => fleet.register_with_noise(id, graph.clone(), noise.clone()),
                     None => fleet.register(id, graph.clone()),
-                };
-                if let Err(e) = registered {
-                    return Response::error(422, &format!("sharded routing failed: {e}"));
                 }
+                .map_err(sharding_failed)?;
             }
-            let plan = match route_sharded(circuit, &fleet, config, &service.cache) {
-                Ok(plan) => plan,
-                Err(e) => return Response::error(422, &format!("sharded routing failed: {e}")),
-            };
+            let plan =
+                route_sharded(circuit, &fleet, config, &service.cache).map_err(sharding_failed)?;
             // The verifier is O(gates): run it on every response so a
             // served plan is never an unproven plan.
-            if let Err(e) = plan.verify(circuit, &fleet) {
-                return Response::error(500, &format!("plan failed verification: {e}"));
-            }
+            plan.verify(circuit, &fleet)
+                .map_err(|e| ApiError::new(500, format!("plan failed verification: {e}")))?;
             for shard in &plan.shards {
                 service.metrics.record_routing(
                     shard.result.elapsed.as_nanos(),
@@ -1268,8 +1198,12 @@ fn execute(
                     .metrics
                     .observe_quality(&shard.member, &shard.quality);
             }
-            annotations.push(("swaps", quality.total_swaps as u64));
-            annotations.push(("cut_gates", quality.cut_gates as u64));
+            notes
+                .annotations
+                .push(("swaps", quality.total_swaps as u64));
+            notes
+                .annotations
+                .push(("cut_gates", quality.cut_gates as u64));
             let mut fields = vec![
                 (
                     "fleet",
@@ -1296,7 +1230,7 @@ fn execute(
                         .collect(),
                 ));
             }
-            Response::json(200, &JsonValue::object(fields))
+            Ok(Response::json(200, &JsonValue::object(fields)))
         }
         JobKind::Batch {
             device_id,
@@ -1310,7 +1244,7 @@ fn execute(
             service
                 .metrics
                 .add(Counter::CircuitsRouted, succeeded as u64);
-            *device = Some(device_id.clone());
+            notes.device = Some(device_id.clone());
             let mut total_swaps = 0u64;
             let slots: JsonValue = circuits
                 .iter()
@@ -1336,10 +1270,10 @@ fn execute(
                     Err(error) => JsonValue::object([("error", error.to_string().into())]),
                 })
                 .collect();
-            annotations.push(("swaps", total_swaps));
+            notes.annotations.push(("swaps", total_swaps));
             // Partial success is a 200: the response reports per-slot
             // outcomes, which is the point of `BatchOutcome`.
-            Response::json(
+            Ok(Response::json(
                 200,
                 &JsonValue::object([
                     ("device", device_id.as_str().into()),
@@ -1348,18 +1282,63 @@ fn execute(
                     ("failed", (outcomes.len() - succeeded).into()),
                     ("outcomes", slots),
                 ]),
-            )
+            ))
         }
     }
 }
 
-fn parse_body(request: &Request) -> Result<JsonValue, Response> {
-    let text = match request.body_str() {
-        Ok(text) => text,
-        Err(e) => return Err(e.response().expect("BadRequest has a response")),
-    };
+fn parse_body(request: &Request) -> Result<JsonValue, ApiError> {
+    let text = std::str::from_utf8(&request.body)
+        .map_err(|_| ApiError::bad_request("request body is not valid UTF-8"))?;
     if text.trim().is_empty() {
-        return Err(Response::error(400, "missing JSON request body"));
+        return Err(ApiError::bad_request("missing JSON request body"));
     }
-    JsonValue::parse(text).map_err(|e| Response::error(400, &format!("invalid JSON: {e}")))
+    JsonValue::parse(text).map_err(|e| ApiError::bad_request(format!("invalid JSON: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_poisoned_registry_keeps_registering_and_reading() {
+        let registry = Registry::new("device", 2);
+        registry.insert("a".to_string(), 1).unwrap();
+        let poisoner = thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = registry.map.write().unwrap();
+                    panic!("a panic while holding the registry lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(registry.map.is_poisoned());
+
+        assert_eq!(registry.insert("b".to_string(), 2), Ok(false));
+        assert_eq!(registry.read().get("a"), Some(&1));
+        assert_eq!(registry.insert("c".to_string(), 3).unwrap_err().status, 409);
+    }
+
+    #[test]
+    fn a_poisoned_completion_list_still_delivers() {
+        let (waker, _rx) = reactor::waker_pair().unwrap();
+        let service = RoutingService::new(ServeConfig::default(), waker);
+        let poisoner = thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = service.completions.lock().unwrap();
+                    panic!("a panic while holding the completion list");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(service.completions.is_poisoned());
+
+        service.complete(7, Response::text(200, "done"), TraceNotes::default());
+        let delivered = std::mem::take(&mut *service.completions());
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].token, 7);
+        assert!(service.completions().is_empty());
+    }
 }

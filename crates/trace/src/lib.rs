@@ -139,12 +139,6 @@ impl Span {
         Span(Some(Instant::now()))
     }
 
-    /// Whether this span is actually recording.
-    #[inline]
-    pub fn is_live(self) -> bool {
-        self.0.is_some()
-    }
-
     /// Nanoseconds since the span started (saturated to `u64`), or 0
     /// for a disabled span.
     #[inline]
@@ -169,9 +163,43 @@ pub fn unix_ms_now() -> u64 {
 // Finished request traces
 // ---------------------------------------------------------------------------
 
+/// What a request's stages note about it on the way through: the ordered
+/// phase durations, the device it routed against, and outcome
+/// annotations. The reactor notes its own stages into the request's
+/// [`RequestTrace::notes`]; a worker fills a fresh `TraceNotes` and the
+/// reactor folds it in with one [`TraceNotes::merge`]. Names are
+/// `'static` so noting a phase or an annotation never allocates for the
+/// name.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceNotes {
+    /// Ordered `(phase, nanoseconds)` pairs. Phases are disjoint slices
+    /// of the request's `total_ns`; instantaneous events may appear with a
+    /// 0 duration.
+    pub phases: Vec<(&'static str, u64)>,
+    /// Device id the request routed against, when it reached a routing
+    /// handler (`None` for non-routing endpoints and early rejections).
+    pub device: Option<String>,
+    /// Ordered `(name, value)` outcome annotations — quality counters
+    /// such as inserted SWAPs or depth overhead, distinct from the
+    /// duration-valued phases.
+    pub annotations: Vec<(&'static str, u64)>,
+}
+
+impl TraceNotes {
+    /// Appends what a later stage noted: its phases and annotations
+    /// follow these, and its device stamp, if any, replaces this one.
+    pub fn merge(&mut self, later: TraceNotes) {
+        self.phases.extend(later.phases);
+        if later.device.is_some() {
+            self.device = later.device;
+        }
+        self.annotations.extend(later.annotations);
+    }
+}
+
 /// One finished request: identity, outcome, total wall time, and the
-/// named phase durations that decompose it. Phase names are `'static`
-/// so recording a phase never allocates for the name.
+/// notes its stages took — the named phase durations that decompose it,
+/// its device and its outcome annotations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RequestTrace {
     /// The request's trace ID (generated at accept or supplied by the
@@ -188,44 +216,15 @@ pub struct RequestTrace {
     /// End-to-end wall time in nanoseconds (first byte read to last
     /// byte written).
     pub total_ns: u64,
-    /// Ordered `(phase, nanoseconds)` pairs. Phases are disjoint slices
-    /// of `total_ns`; instantaneous events may appear with a 0 duration.
-    pub phases: Vec<(&'static str, u64)>,
-    /// Device id the request routed against, when it reached a routing
-    /// handler (`None` for non-routing endpoints and early rejections).
-    pub device: Option<String>,
-    /// Ordered `(name, value)` outcome annotations — quality counters
-    /// such as inserted SWAPs or depth overhead, distinct from the
-    /// duration-valued [`RequestTrace::phases`]. Names are `'static` so
-    /// annotating never allocates for the name.
-    pub annotations: Vec<(&'static str, u64)>,
+    /// Phases, device and annotations.
+    pub notes: TraceNotes,
 }
 
 impl RequestTrace {
-    /// The duration recorded for `name`, if that phase was recorded.
-    pub fn phase_ns(&self, name: &str) -> Option<u64> {
-        self.phases
-            .iter()
-            .find(|(phase, _)| *phase == name)
-            .map(|&(_, ns)| ns)
-    }
-
-    /// The value recorded for outcome annotation `name`, if present.
-    pub fn annotation(&self, name: &str) -> Option<u64> {
-        self.annotations
-            .iter()
-            .find(|(key, _)| *key == name)
-            .map(|&(_, value)| value)
-    }
-
-    /// Sum of all recorded phase durations.
-    pub fn phases_total_ns(&self) -> u64 {
-        self.phases.iter().map(|&(_, ns)| ns).sum()
-    }
-
     /// Renders the trace as one flat JSON object (one JSONL log line).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(128 + self.phases.len() * 24);
+        let notes = &self.notes;
+        let mut out = String::with_capacity(128 + notes.phases.len() * 24);
         out.push_str("{\"trace_id\":");
         push_json_string(&mut out, &self.id);
         out.push_str(",\"method\":");
@@ -237,17 +236,17 @@ impl RequestTrace {
             ",\"status\":{},\"unix_ms\":{},\"total_ns\":{}",
             self.status, self.unix_ms, self.total_ns
         );
-        if let Some(device) = &self.device {
+        if let Some(device) = &notes.device {
             out.push_str(",\"device\":");
             push_json_string(&mut out, device);
         }
-        for (name, value) in &self.annotations {
+        for (name, value) in &notes.annotations {
             out.push(',');
             push_json_string(&mut out, name);
             let _ = write!(out, ":{value}");
         }
         out.push_str(",\"phases\":{");
-        for (i, (phase, ns)) in self.phases.iter().enumerate() {
+        for (i, (phase, ns)) in notes.phases.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -268,13 +267,14 @@ impl RequestTrace {
             self.status,
             self.total_ns as f64 / 1e6
         );
-        if let Some(device) = &self.device {
+        let notes = &self.notes;
+        if let Some(device) = &notes.device {
             let _ = write!(out, " device={device}");
         }
-        for (name, value) in &self.annotations {
+        for (name, value) in &notes.annotations {
             let _ = write!(out, " {name}={value}");
         }
-        for (phase, ns) in &self.phases {
+        for (phase, ns) in &notes.phases {
             let _ = write!(out, " {}_ms={:.3}", phase, *ns as f64 / 1e6);
         }
         out
@@ -329,11 +329,6 @@ impl TraceRing {
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Whether pushes are recorded at all.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
     }
 
     /// Records a finished trace, evicting the oldest entry when full.
@@ -411,16 +406,6 @@ impl SlowLog {
         }
     }
 
-    /// Whether any request could ever be logged.
-    pub fn is_enabled(&self) -> bool {
-        self.threshold_ms > 0
-    }
-
-    /// The configured output format.
-    pub fn format(&self) -> LogFormat {
-        self.format
-    }
-
     /// Whether `trace` crosses the slow threshold.
     pub fn is_slow(&self, trace: &RequestTrace) -> bool {
         self.threshold_ms > 0 && trace.total_ns >= self.threshold_ms.saturating_mul(1_000_000)
@@ -467,13 +452,14 @@ mod tests {
             status: 200,
             unix_ms: 1_700_000_000_000,
             total_ns: 5_000_000,
-            phases: vec![
-                ("read", 1_000_000),
-                ("route", 3_500_000),
-                ("write", 500_000),
-            ],
-            device: None,
-            annotations: Vec::new(),
+            notes: TraceNotes {
+                phases: vec![
+                    ("read", 1_000_000),
+                    ("route", 3_500_000),
+                    ("write", 500_000),
+                ],
+                ..TraceNotes::default()
+            },
         }
     }
 
@@ -503,9 +489,10 @@ mod tests {
     #[test]
     fn disabled_spans_record_nothing() {
         let span = SpanClock::OFF.start();
-        assert!(!span.is_live());
+        let live = SpanClock::new(true).start();
+        std::thread::sleep(std::time::Duration::from_millis(1));
         assert_eq!(span.elapsed_ns(), 0);
-        assert!(SpanClock::new(true).start().is_live());
+        assert!(live.elapsed_ns() > 0);
     }
 
     #[test]
@@ -532,7 +519,6 @@ mod tests {
     #[test]
     fn zero_capacity_ring_is_disabled() {
         let ring = TraceRing::new(0);
-        assert!(!ring.is_enabled());
         ring.push(sample_trace());
         assert!(ring.is_empty());
         assert!(ring.snapshot().is_empty());
@@ -559,7 +545,6 @@ mod tests {
         let fast = SlowLog::new(LogFormat::Json, 6);
         assert!(!fast.is_slow(&trace));
         let off = SlowLog::new(LogFormat::Text, 0);
-        assert!(!off.is_enabled());
         assert!(!off.record(&trace));
         let text = SlowLog::new(LogFormat::Text, 1).render(&trace);
         assert!(text.starts_with("slow_request trace_id=abc123 method=POST"));
@@ -569,13 +554,11 @@ mod tests {
     #[test]
     fn device_and_annotations_render_in_both_formats() {
         let mut trace = sample_trace();
-        trace.device = Some("tokyo20".to_string());
-        trace.annotations = vec![("swaps", 7), ("depth_overhead", 12)];
+        trace.notes.device = Some("tokyo20".to_string());
+        trace.notes.annotations = vec![("swaps", 7), ("depth_overhead", 12)];
         let json = trace.to_json_line();
         assert!(json.contains("\"device\":\"tokyo20\""));
         assert!(json.contains(",\"swaps\":7,\"depth_overhead\":12,\"phases\":{"));
-        assert_eq!(trace.annotation("swaps"), Some(7));
-        assert_eq!(trace.annotation("fidelity"), None);
         let text = trace.to_text_line();
         assert!(text.contains(" device=tokyo20 swaps=7 depth_overhead=12 "));
         // A slow-request line carries the quality outcome too.
@@ -595,10 +578,28 @@ mod tests {
     }
 
     #[test]
-    fn phase_lookup_and_total() {
-        let trace = sample_trace();
-        assert_eq!(trace.phase_ns("route"), Some(3_500_000));
-        assert_eq!(trace.phase_ns("queue"), None);
-        assert_eq!(trace.phases_total_ns(), 5_000_000);
+    fn merge_appends_later_notes_and_keeps_a_device_stamp() {
+        let mut notes = TraceNotes {
+            phases: vec![("read", 1), ("parse", 2)],
+            device: Some("tokyo20".to_string()),
+            annotations: vec![("swaps", 3)],
+        };
+        notes.merge(TraceNotes {
+            phases: vec![("queue_wait", 4)],
+            annotations: vec![("depth_overhead", 5)],
+            ..TraceNotes::default()
+        });
+        assert_eq!(notes.phases, [("read", 1), ("parse", 2), ("queue_wait", 4)]);
+        assert_eq!(
+            notes.device.as_deref(),
+            Some("tokyo20"),
+            "no stamp keeps it"
+        );
+        assert_eq!(notes.annotations, [("swaps", 3), ("depth_overhead", 5)]);
+        notes.merge(TraceNotes {
+            device: Some("qx5".to_string()),
+            ..TraceNotes::default()
+        });
+        assert_eq!(notes.device.as_deref(), Some("qx5"), "a later stamp wins");
     }
 }

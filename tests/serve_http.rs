@@ -409,6 +409,15 @@ fn registries_refuse_new_ids_past_their_caps_but_still_replace() {
     handle
         .register_device("d1", devices::ring(3).graph())
         .expect("preload replaces an existing id");
+    // Both registration paths apply the same id rule, ahead of the cap.
+    for bad in [String::new(), "a/b".to_string(), "x".repeat(129)] {
+        let (status, response) = post_json(addr, "/devices", &device(&bad, "linear:3"));
+        assert_eq!(status, 400, "id {bad:?}: {response}");
+        let err = handle
+            .register_device(&bad, devices::linear(3).graph())
+            .unwrap_err();
+        assert!(err.contains("`/`"), "id {bad:?}: {err}");
+    }
 
     let fleet = |id: &str| {
         JsonValue::object([

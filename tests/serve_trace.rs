@@ -504,3 +504,140 @@ fn metrics_exposition_is_well_formed() {
         );
     }
 }
+
+/// The `/debug/traces` shape of one request: status, device stamp,
+/// annotation keys in order, and phase names in order.
+#[derive(Debug, PartialEq)]
+struct TraceShape {
+    status: u64,
+    device: Option<String>,
+    annotations: Vec<String>,
+    phases: Vec<String>,
+}
+
+fn trace_shape(trace: &JsonValue) -> TraceShape {
+    const FIXED: [&str; 8] = [
+        "trace_id", "method", "target", "status", "unix_ms", "total_ns", "device", "phases",
+    ];
+    let JsonValue::Object(fields) = trace else {
+        panic!("trace is not an object: {trace}");
+    };
+    let JsonValue::Object(phases) = trace.get("phases").expect("trace has phases") else {
+        panic!("phases is not an object: {trace}");
+    };
+    TraceShape {
+        status: trace.get("status").and_then(JsonValue::as_u64).unwrap(),
+        device: trace
+            .get("device")
+            .and_then(JsonValue::as_str)
+            .map(str::to_string),
+        annotations: fields
+            .iter()
+            .map(|(k, _)| k.clone())
+            .filter(|k| !FIXED.contains(&k.as_str()))
+            .collect(),
+        phases: phases.iter().map(|(k, _)| k.clone()).collect(),
+    }
+}
+
+/// Pins which phases (in order), device stamp and annotations each kind
+/// of request leaves in the trace ring: a plan-cache miss, the hit that
+/// follows it, a batch, a sharded route, and a body that fails to parse.
+#[test]
+fn each_request_kind_leaves_its_trace_shape() {
+    let handle = server(ServeConfig::default());
+    let addr = handle.addr();
+    register(addr, "tokyo", "tokyo20");
+    register(addr, "tokyo-b", "tokyo20");
+    let circuit = workload(8, 30);
+    let qasm = || JsonValue::object([("qasm", to_qasm(&circuit).into())]);
+    let route = route_body("tokyo", &circuit, 5);
+    let batch = JsonValue::object([
+        ("device", "tokyo".into()),
+        ("circuits", JsonValue::array([qasm(), qasm()])),
+    ])
+    .to_compact();
+    let sharded = JsonValue::object([
+        (
+            "devices",
+            JsonValue::array(["tokyo".into(), "tokyo-b".into()]),
+        ),
+        ("circuit", qasm()),
+        ("config", JsonValue::object([("trials", 1u64.into())])),
+    ])
+    .to_compact();
+    let shape =
+        |status: u64, device: Option<&str>, annotations: &[&str], phases: &[&str]| TraceShape {
+            status,
+            device: device.map(str::to_string),
+            annotations: annotations.iter().map(|s| s.to_string()).collect(),
+            phases: phases.iter().map(|s| s.to_string()).collect(),
+        };
+    let quality = ["swaps", "depth_overhead"];
+    let queued = ["read", "parse", "admission", "queue_wait", "write"];
+    let cases = [
+        (
+            "miss",
+            "/route",
+            route.as_str(),
+            shape(
+                200,
+                Some("tokyo"),
+                &quality,
+                &[
+                    "read",
+                    "parse",
+                    "plan_cache",
+                    "admission",
+                    "queue_wait",
+                    "route",
+                    "serialize",
+                    "write",
+                ],
+            ),
+        ),
+        (
+            "hit",
+            "/route",
+            route.as_str(),
+            shape(
+                200,
+                Some("tokyo"),
+                &quality,
+                &[
+                    "read",
+                    "parse",
+                    "plan_cache",
+                    "rebind",
+                    "serialize",
+                    "write",
+                ],
+            ),
+        ),
+        (
+            "batch",
+            "/transpile_batch",
+            batch.as_str(),
+            shape(200, Some("tokyo"), &["swaps"], &queued),
+        ),
+        (
+            "sharded",
+            "/route_sharded",
+            sharded.as_str(),
+            shape(200, None, &["swaps", "cut_gates"], &queued),
+        ),
+        (
+            "bad-json",
+            "/route",
+            "{not json",
+            shape(400, None, &[], &["read", "write"]),
+        ),
+    ];
+    for (id, path, body, expected) in cases {
+        let (status, _, text) =
+            http_with_headers(addr, "POST", path, &[("X-Request-Id", id)], Some(body));
+        assert_eq!(u64::from(status), expected.status, "{id}: {text}");
+        let trace = find_trace(addr, id);
+        assert_eq!(trace_shape(&trace), expected, "{id}: {trace}");
+    }
+}
