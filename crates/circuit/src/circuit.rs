@@ -333,7 +333,7 @@ impl Circuit {
     /// have identical dependency DAGs and identical routing behavior (the
     /// SWAP search never reads an angle), which is what lets a routed-plan
     /// cache serve one circuit's plan for the other. Names are ignored,
-    /// like in the fingerprints.
+    /// like in [`Circuit::structural_digest`].
     pub fn same_structure(&self, other: &Circuit) -> bool {
         self.num_qubits == other.num_qubits
             && self.gates.len() == other.gates.len()
@@ -344,39 +344,13 @@ impl Circuit {
                 .all(|(a, b)| a.same_structure(b))
     }
 
-    /// Parameter-insensitive structural fingerprint: a stable 64-bit hash
-    /// of the register size and the ordered gate kinds + operand wires,
-    /// with rotation angles **excluded**. Circuits that differ only in
-    /// angles (the shape of variational workloads, which re-submit one
-    /// ansatz structure with thousands of parameter sets) hash identically;
-    /// [`Circuit::fingerprint`] is the companion that also folds the angles
-    /// in. The circuit name participates in neither.
-    ///
-    /// Collisions are possible (64-bit hash); cache layers must re-verify
-    /// with [`Circuit::same_structure`] on every hit.
-    ///
-    /// ```
-    /// use sabre_circuit::{Circuit, Qubit};
-    /// let mut a = Circuit::new(2);
-    /// a.rz(Qubit(0), 0.1);
-    /// let mut b = Circuit::new(2);
-    /// b.rz(Qubit(0), 2.7);
-    /// assert_eq!(a.structural_fingerprint(), b.structural_fingerprint());
-    /// assert_ne!(a.fingerprint(), b.fingerprint());
-    /// ```
-    pub fn structural_fingerprint(&self) -> u64 {
-        let mut fp = Fingerprinter::new("sabre/circuit-structure/v1");
-        self.write_structure(&mut fp);
-        fp.finish()
-    }
-
     /// Cheap structural *bucketing* digest: folds the register size, the
     /// gate count, and an evenly-strided sample of at most `max_gates`
-    /// gates (arity, kind, operand wires — angles excluded). Sampling
-    /// bounds the cost at `O(max_gates)` regardless of circuit size, at
-    /// the price of more likely collisions than
-    /// [`Circuit::structural_fingerprint`]: two circuits that differ only
-    /// at unsampled positions digest identically, so callers must treat a
+    /// gates (arity, kind, operand wires — angles excluded; the name does
+    /// not participate). Sampling bounds the cost at `O(max_gates)`
+    /// regardless of circuit size, at the price of collisions: two
+    /// circuits that differ only at unsampled positions digest
+    /// identically, so callers must treat a
     /// digest match as a hash bucket, never an identity — re-verify with
     /// [`Circuit::same_structure`] before trusting it. Built for hot-path
     /// cache keys (the plan cache keys every lookup on this and verifies
@@ -402,46 +376,6 @@ impl Circuit {
             }
         }
         fp.finish()
-    }
-
-    /// Exact content fingerprint: like
-    /// [`Circuit::structural_fingerprint`], plus every rotation angle by
-    /// IEEE-754 bit pattern. Two circuits hash identically iff they have
-    /// the same register size and the same ordered gate list (name
-    /// excluded) — up to 64-bit hash collisions, so exact-match caches
-    /// must still re-verify with `==` on the gate lists.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprinter::new("sabre/circuit-exact/v1");
-        self.write_structure(&mut fp);
-        for gate in &self.gates {
-            for &angle in gate.params().as_slice() {
-                fp.write_f64(angle);
-            }
-        }
-        fp.finish()
-    }
-
-    /// The shared structural encoding of both fingerprints: register size,
-    /// gate count, then per gate an arity tag, the kind discriminant, and
-    /// the operand wire indices.
-    fn write_structure(&self, fp: &mut Fingerprinter) {
-        fp.write_u64(u64::from(self.num_qubits));
-        fp.write_u64(self.gates.len() as u64);
-        for gate in &self.gates {
-            match *gate {
-                Gate::One { kind, qubit, .. } => {
-                    fp.write_u64(1);
-                    fp.write_u64(kind as u64);
-                    fp.write_u64(u64::from(qubit.0));
-                }
-                Gate::Two { kind, a, b, .. } => {
-                    fp.write_u64(2);
-                    fp.write_u64(kind as u64);
-                    fp.write_u64(u64::from(a.0));
-                    fp.write_u64(u64::from(b.0));
-                }
-            }
-        }
     }
 
     /// Summary statistics used by reports and tests.
@@ -722,7 +656,8 @@ mod tests {
     }
 
     #[test]
-    fn structural_fingerprint_ignores_angles_but_not_structure() {
+    fn structural_digest_ignores_angles_but_not_structure() {
+        let digest = |c: &Circuit| c.structural_digest(usize::MAX);
         let mut a = Circuit::new(3);
         a.rz(Qubit(0), 0.1);
         a.rzz(Qubit(0), Qubit(1), 0.2);
@@ -732,8 +667,7 @@ mod tests {
         b.rzz(Qubit(0), Qubit(1), 3.3);
         b.cx(Qubit(1), Qubit(2));
         assert!(a.same_structure(&b));
-        assert_eq!(a.structural_fingerprint(), b.structural_fingerprint());
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(digest(&a), digest(&b));
 
         // Operand change ⇒ different structure.
         let mut c = Circuit::new(3);
@@ -741,21 +675,21 @@ mod tests {
         c.rzz(Qubit(0), Qubit(1), 0.2);
         c.cx(Qubit(1), Qubit(2));
         assert!(!a.same_structure(&c));
-        assert_ne!(a.structural_fingerprint(), c.structural_fingerprint());
+        assert_ne!(digest(&a), digest(&c));
 
         // Kind change ⇒ different structure, even at equal arity/operands.
         let mut d = Circuit::new(3);
         d.rz(Qubit(0), 0.1);
         d.cp(Qubit(0), Qubit(1), 0.2);
         d.cx(Qubit(1), Qubit(2));
-        assert_ne!(a.structural_fingerprint(), d.structural_fingerprint());
+        assert_ne!(digest(&a), digest(&d));
 
         // Register size participates (same gates, wider register).
         let mut e = Circuit::new(4);
         e.rz(Qubit(0), 0.1);
         e.rzz(Qubit(0), Qubit(1), 0.2);
         e.cx(Qubit(1), Qubit(2));
-        assert_ne!(a.structural_fingerprint(), e.structural_fingerprint());
+        assert_ne!(digest(&a), digest(&e));
     }
 
     #[test]
@@ -764,17 +698,7 @@ mod tests {
         a.cx(Qubit(0), Qubit(1));
         let mut b = Circuit::with_name(2, "beta");
         b.cx(Qubit(0), Qubit(1));
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.structural_fingerprint(), b.structural_fingerprint());
-    }
-
-    #[test]
-    fn exact_fingerprint_matches_equal_gate_lists() {
-        let mut a = Circuit::new(2);
-        a.rz(Qubit(0), 0.25);
-        a.cx(Qubit(0), Qubit(1));
-        let b = a.clone();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.structural_digest(64), b.structural_digest(64));
     }
 
     #[test]

@@ -469,7 +469,7 @@ impl Gate {
     /// Whether `self` and `other` are the same gate *structure*: same kind
     /// and same operand wires, rotation angles ignored. This is the
     /// gate-level equality behind [`crate::Circuit::same_structure`] and
-    /// the parameter-insensitive circuit fingerprint.
+    /// the parameter-insensitive [`crate::Circuit::structural_digest`].
     pub fn same_structure(&self, other: &Gate) -> bool {
         match (*self, *other) {
             (

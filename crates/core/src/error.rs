@@ -1,6 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
+use sabre_verify::VerifyError;
+
 /// Errors produced when constructing a router or routing a circuit.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
@@ -23,6 +25,10 @@ pub enum RouteError {
         /// Description of the offending field.
         reason: String,
     },
+    /// The routed plan failed its proof against the input circuit
+    /// ([`sabre_verify::verify_routed`]), so it was neither cached nor
+    /// served.
+    Unverified(VerifyError),
 }
 
 impl fmt::Display for RouteError {
@@ -40,6 +46,9 @@ impl fmt::Display for RouteError {
             }
             RouteError::InvalidConfig { reason } => {
                 write!(f, "invalid configuration: {reason}")
+            }
+            RouteError::Unverified(source) => {
+                write!(f, "routed plan failed verification: {source}")
             }
         }
     }

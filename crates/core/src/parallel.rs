@@ -144,10 +144,12 @@ impl BatchOutcome {
 /// per circuit: a submission whose *structure* (gate kinds and operands,
 /// angles excluded) was routed before under the same device, noise, and
 /// objective config is answered by parameter rebinding — zero search
-/// steps — and every fresh route is fed back into the plan cache. This
-/// is what makes variational parameter sweeps (`N` structurally
-/// identical batches with different angles) cost one route total; see
-/// [`crate::plan`] for the key and collision discipline.
+/// steps — and every fresh route is proven and fed back into the plan
+/// cache; a route that fails the proof fails its slot with
+/// [`RouteError::Unverified`]. This is what makes variational parameter
+/// sweeps (`N` structurally identical batches with different angles)
+/// cost one route total; see [`crate::plan`] for the key and collision
+/// discipline.
 ///
 /// Unlike [`transpile_batch`], this never fails as a whole: router
 /// construction errors (invalid config, disconnected device) are
@@ -199,8 +201,12 @@ pub fn transpile_batch_cached(
                     }
                     match router.route(circuit) {
                         Ok(result) => {
-                            plans.insert(circuit, graph, noise, router.config(), &result);
-                            BatchOutcome::Transpiled(finish_routed(result.best, options))
+                            match plans.insert(circuit, graph, noise, router.config(), &result) {
+                                Ok(_) => {
+                                    BatchOutcome::Transpiled(finish_routed(result.best, options))
+                                }
+                                Err(err) => BatchOutcome::Failed(RouteError::Unverified(err)),
+                            }
                         }
                         Err(err) => BatchOutcome::Failed(err),
                     }
@@ -236,6 +242,7 @@ mod tests {
     use crate::SabreConfig;
     use sabre_circuit::Qubit;
     use sabre_topology::devices;
+    use sabre_verify::VerifyError;
 
     fn workload(n: u32, rounds: u32, stride: (u32, u32)) -> Circuit {
         let mut c = Circuit::new(n);
@@ -421,6 +428,33 @@ mod tests {
         );
         assert!(outcomes[2].is_transpiled());
         assert!(outcomes[1].as_result().is_err());
+    }
+
+    #[test]
+    fn cached_batch_fails_the_slot_of_a_plan_that_fails_its_proof() {
+        // A NaN angle routes like any other, but NaN ≠ NaN, so the replay
+        // cannot match the routed gate to the input's.
+        let device = devices::linear(4);
+        let cache = DeviceCache::new();
+        let mut nan = workload(3, 6, (2, 1));
+        nan.rz(Qubit(0), f64::NAN);
+        let circuits = vec![workload(4, 12, (3, 2)), nan];
+        let outcomes = transpile_batch_cached(
+            &circuits,
+            device.graph(),
+            &TranspileOptions::default(),
+            &cache,
+        );
+        assert!(outcomes[0].is_transpiled());
+        assert!(
+            matches!(
+                outcomes[1].error(),
+                Some(RouteError::Unverified(VerifyError::UnexpectedGate { .. }))
+            ),
+            "{:?}",
+            outcomes[1].error()
+        );
+        assert_eq!(cache.plans().len(), 1, "the unproven plan is not cached");
     }
 
     #[test]

@@ -9,10 +9,21 @@
 //! kinds, operands, dependency DAG) route to physically identical
 //! circuits that differ only in the angles carried by the gates. A
 //! [`PlanCache`] exploits that: the first submission pays the full search
-//! and stores the routed skeleton plus a gate-index mapping; every later
+//! and stores the routed skeleton plus its rebind slots; every later
 //! submission with the same structure is answered by [`RoutedPlan::rebind`]
 //! — zero search steps, output bit-identical to a fresh route of the same
 //! structure under the plan's configuration.
+//!
+//! # Proof at insert
+//!
+//! [`PlanCache::insert`] proves every plan before it is stored or served:
+//! [`sabre_verify::verify_routed`] replays the routed circuit against the
+//! submission's dependency DAG, checking coupling, gate order and the
+//! final layout. That one replay also reports the routed position of
+//! each original gate, and the positions of the gates that carry
+//! parameters become the plan's rebind slots. A result that fails the
+//! proof is never cached, and every hit inherits the proof of the plan it
+//! rebinds.
 //!
 //! # Key and collision discipline
 //!
@@ -89,7 +100,9 @@
 //! let cache = PlanCache::with_capacity(64);
 //! // First submission: full search, then the plan is cached.
 //! let first = router.route(&ansatz(0.1))?;
-//! cache.insert(&ansatz(0.1), tokyo.graph(), None, &config, &first);
+//! cache
+//!     .insert(&ansatz(0.1), tokyo.graph(), None, &config, &first)
+//!     .expect("the router's output passes the proof");
 //!
 //! // Re-parameterized submission: zero search steps.
 //! let hit = cache
@@ -104,9 +117,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sabre_circuit::fingerprint::Fingerprinter;
-use sabre_circuit::{Circuit, DependencyDag, ExecutionFrontier, Gate};
+use sabre_circuit::{Circuit, Gate};
 use sabre_topology::noise::NoiseModel;
 use sabre_topology::{BoundedLru, CouplingGraph};
+use sabre_verify::{verify_routed, VerifyError};
 
 use crate::quality::PlanQuality;
 use crate::{RoutedCircuit, SabreConfig, SabreResult, TraversalReport};
@@ -117,8 +131,7 @@ use crate::{RoutedCircuit, SabreConfig, SabreResult, TraversalReport};
 #[derive(Debug)]
 pub struct RoutedPlan {
     /// The circuit the plan was routed from (first submission); hits
-    /// verify structural equality against it, and its parameter layout
-    /// defines the [`RoutedPlan::bind_map`] domain.
+    /// verify structural equality against it.
     structure: Circuit,
     /// The device the plan targets, for hit verification.
     graph: Arc<CouplingGraph>,
@@ -130,13 +143,11 @@ pub struct RoutedPlan {
     config: SabreConfig,
     /// The full first-route result; `rebind` clones its `best` skeleton.
     result: SabreResult,
-    /// `bind_map[i]` = position in `result.best.physical` of original
-    /// gate `i`. Inserted SWAPs occupy the remaining positions.
-    bind_map: Vec<u32>,
     /// `(original gate index, routed position)` for every structure gate
     /// that carries parameters — the only gates a rebind must restamp.
-    /// Precomputed at insert so the rebind hot loop skips the
-    /// parameter-free majority (CX ladders) instead of testing each gate.
+    /// The positions come from the insert-time proof's replay, so the
+    /// rebind hot loop skips the parameter-free majority (CX ladders)
+    /// instead of testing each gate.
     param_slots: Vec<(u32, u32)>,
     /// Quality report of the routed skeleton, computed once at insert.
     /// Rebinding only restamps parameters — structure, SWAPs, depth, and
@@ -146,38 +157,6 @@ pub struct RoutedPlan {
 }
 
 impl RoutedPlan {
-    /// Builds a plan from a finished route, recovering the original-gate →
-    /// routed-position mapping by deterministic replay. Returns `None` if
-    /// the replay cannot account for every physical gate (e.g. the result
-    /// was not produced from `structure`), in which case nothing is cached.
-    fn from_route(
-        structure: Circuit,
-        graph: Arc<CouplingGraph>,
-        noise: Option<NoiseModel>,
-        config: SabreConfig,
-        result: SabreResult,
-    ) -> Option<Self> {
-        let bind_map = build_bind_map(&structure, &result.best)?;
-        let quality = PlanQuality::of_routed(&structure, &result.best, noise.as_ref());
-        let param_slots = structure
-            .gates()
-            .iter()
-            .enumerate()
-            .filter(|(_, gate)| !gate.params().is_empty())
-            .map(|(idx, _)| (idx as u32, bind_map[idx]))
-            .collect();
-        Some(RoutedPlan {
-            structure,
-            graph,
-            noise,
-            config,
-            result,
-            bind_map,
-            param_slots,
-            quality,
-        })
-    }
-
     /// The config the plan was routed under (provenance for responses).
     pub fn routed_config(&self) -> &SabreConfig {
         &self.config
@@ -223,7 +202,7 @@ impl RoutedPlan {
         }
     }
 
-    /// Estimated resident bytes of this plan (gate storage, bind map,
+    /// Estimated resident bytes of this plan (gate storage, rebind slots,
     /// layouts, traversal telemetry, and the graph/noise copies it pins).
     fn approx_bytes(&self) -> usize {
         let gate = std::mem::size_of::<Gate>();
@@ -231,7 +210,6 @@ impl RoutedPlan {
         std::mem::size_of::<RoutedPlan>()
             + self.structure.num_gates() * gate
             + self.result.best.physical.num_gates() * gate
-            + self.bind_map.len() * std::mem::size_of::<u32>()
             + self.param_slots.len() * std::mem::size_of::<(u32, u32)>()
             + layouts
             + self.result.traversals.len() * std::mem::size_of::<TraversalReport>()
@@ -252,52 +230,6 @@ impl RoutedPlan {
             && *self.graph == *graph
             && self.noise.as_ref() == noise
             && same_objective(&self.config, config)
-    }
-}
-
-/// Recovers `original gate index → routed position` by replaying the
-/// routed circuit against the structure's dependency DAG.
-///
-/// Walk the physical gates in order, tracking the layout. Each physical
-/// gate either matches a currently-ready original gate under the layout
-/// (record its position, retire it) or is an inserted SWAP (apply it to
-/// the layout). The match is unambiguous: the layout is a bijection, so
-/// two distinct ready gates can never map onto the same physical
-/// operands, and when the router emits an inserted SWAP its execute-drain
-/// has reached fixpoint — no ready gate is executable, so none can match
-/// a coupled SWAP pair. (An *original* `Swap` gate matches as a ready
-/// gate first and correctly leaves the layout unchanged; it carries no
-/// parameters, so even a hypothetical misattribution could not corrupt a
-/// rebind.)
-fn build_bind_map(structure: &Circuit, routed: &RoutedCircuit) -> Option<Vec<u32>> {
-    let dag = DependencyDag::new(structure);
-    let mut frontier = ExecutionFrontier::new(&dag);
-    let mut layout = routed.initial_layout.clone();
-    let mut map = vec![u32::MAX; structure.num_gates()];
-    for (pos, pg) in routed.physical.gates().iter().enumerate() {
-        let matched = frontier.ready().iter().copied().find(|&idx| {
-            structure.gates()[idx]
-                .map_qubits(|l| layout.phys_of(l))
-                .same_structure(pg)
-        });
-        match matched {
-            Some(idx) => {
-                map[idx] = pos as u32;
-                frontier.retire(&dag, idx);
-            }
-            None if pg.is_swap() => {
-                let (a, Some(b)) = pg.qubits() else {
-                    return None;
-                };
-                layout.swap_physical(a, b);
-            }
-            None => return None,
-        }
-    }
-    if frontier.is_complete() {
-        Some(map)
-    } else {
-        None
     }
 }
 
@@ -362,8 +294,8 @@ pub struct PlanCacheStats {
 /// Bounded-LRU cache of [`RoutedPlan`]s, shared across threads — see the
 /// [module docs](self) for the key/collision design.
 /// A capacity of **0 disables the cache**: lookups return `None` without
-/// counting a miss and inserts are dropped, which callers needing strict
-/// per-seed reproducibility use to opt out.
+/// counting a miss and inserts prove and score but store nothing, which
+/// callers needing strict per-seed reproducibility use to opt out.
 #[derive(Debug)]
 pub struct PlanCache {
     entries: BoundedLru<u64, RoutedPlan>,
@@ -445,13 +377,20 @@ impl PlanCache {
             .get(&key, |plan| plan.answers(circuit, graph, noise, config))
     }
 
-    /// Caches the plan behind a finished first route of `circuit`.
-    /// Builds the bind map by replay *before* taking the LRU's lock; if
-    /// the replay cannot account for the result (not routed from
-    /// `circuit`), nothing is cached. An existing entry under the same
-    /// key is kept — first insert wins, matching [`crate::DeviceCache`]'s
-    /// race discipline — and the LRU bound evicts the least-recently-used
-    /// plan when the insert overflows `capacity`.
+    /// Proves a finished first route of `circuit` and caches its plan.
+    ///
+    /// The proof is [`verify_routed`], run *before* taking the LRU's
+    /// lock; its replay also yields the rebind slots. On success the
+    /// routed skeleton is scored once and its [`PlanQuality`] returned,
+    /// also at capacity 0, where nothing is cloned or stored. An existing
+    /// entry under the same key is kept — first insert wins, matching
+    /// [`crate::DeviceCache`]'s race discipline — and the LRU bound evicts
+    /// the least-recently-used plan when the insert overflows `capacity`.
+    ///
+    /// # Errors
+    ///
+    /// The verifier's error when `result` does not faithfully route
+    /// `circuit` on `graph`; nothing is cached and no counter moves.
     pub fn insert(
         &self,
         circuit: &Circuit,
@@ -459,20 +398,38 @@ impl PlanCache {
         noise: Option<&NoiseModel>,
         config: &SabreConfig,
         result: &SabreResult,
-    ) {
+    ) -> Result<PlanQuality, VerifyError> {
+        let best = &result.best;
+        let proof = verify_routed(
+            circuit,
+            &best.physical,
+            best.initial_layout.logical_to_physical(),
+            best.final_layout.logical_to_physical(),
+            graph,
+        )?;
+        let quality = PlanQuality::of_routed(circuit, best, noise);
         if self.capacity() == 0 {
-            return;
+            return Ok(quality);
         }
-        let key = plan_key(circuit, graph, noise, config);
-        if let Some(plan) = RoutedPlan::from_route(
-            circuit.clone(),
-            Arc::new(graph.clone()),
-            noise.cloned(),
-            *config,
-            result.clone(),
-        ) {
-            self.entries.insert(key, plan);
-        }
+        let param_slots = circuit
+            .gates()
+            .iter()
+            .enumerate()
+            .filter(|(_, gate)| !gate.params().is_empty())
+            .map(|(idx, _)| (idx as u32, proof.executed_at[idx] as u32))
+            .collect();
+        let plan = RoutedPlan {
+            structure: circuit.clone(),
+            graph: Arc::new(graph.clone()),
+            noise: noise.cloned(),
+            config: *config,
+            result: result.clone(),
+            param_slots,
+            quality,
+        };
+        self.entries
+            .insert(plan_key(circuit, graph, noise, config), plan);
+        Ok(quality)
     }
 
     /// Number of plans currently resident.
@@ -539,7 +496,9 @@ mod tests {
 
         let first = ansatz(8, 3, 0.0);
         let routed = router.route(&first).unwrap();
-        cache.insert(&first, tokyo.graph(), None, &config, &routed);
+        cache
+            .insert(&first, tokyo.graph(), None, &config, &routed)
+            .unwrap();
 
         let resubmit = ansatz(8, 3, 1.7);
         let hit = cache
@@ -558,7 +517,9 @@ mod tests {
         let router = SabreRouter::new(tokyo.graph().clone(), config).unwrap();
         let cache = PlanCache::with_capacity(8);
         let a = ansatz(6, 2, 0.0);
-        cache.insert(&a, tokyo.graph(), None, &config, &router.route(&a).unwrap());
+        cache
+            .insert(&a, tokyo.graph(), None, &config, &router.route(&a).unwrap())
+            .unwrap();
 
         // One extra layer: different structure, must miss.
         assert!(cache
@@ -574,13 +535,15 @@ mod tests {
         let router = SabreRouter::new(tokyo.graph().clone(), routed_under).unwrap();
         let cache = PlanCache::with_capacity(8);
         let a = ansatz(6, 2, 0.0);
-        cache.insert(
-            &a,
-            tokyo.graph(),
-            None,
-            &routed_under,
-            &router.route(&a).unwrap(),
-        );
+        cache
+            .insert(
+                &a,
+                tokyo.graph(),
+                None,
+                &routed_under,
+                &router.route(&a).unwrap(),
+            )
+            .unwrap();
 
         // Different seed / restarts / traversals / probe budget: same key.
         let other_effort = SabreConfig {
@@ -612,13 +575,15 @@ mod tests {
         let router = SabreRouter::with_noise(tokyo.graph().clone(), config, &noise).unwrap();
         let cache = PlanCache::with_capacity(8);
         let a = ansatz(6, 2, 0.0);
-        cache.insert(
-            &a,
-            tokyo.graph(),
-            Some(&noise),
-            &config,
-            &router.route(&a).unwrap(),
-        );
+        cache
+            .insert(
+                &a,
+                tokyo.graph(),
+                Some(&noise),
+                &config,
+                &router.route(&a).unwrap(),
+            )
+            .unwrap();
 
         assert!(
             cache
@@ -650,19 +615,23 @@ mod tests {
 
         let shapes: Vec<Circuit> = (1..=3).map(|d| ansatz(6, d, 0.0)).collect();
         for c in &shapes[..2] {
-            cache.insert(c, device.graph(), None, &config, &router.route(c).unwrap());
+            cache
+                .insert(c, device.graph(), None, &config, &router.route(c).unwrap())
+                .unwrap();
         }
         // Touch shape 0 so shape 1 is the LRU victim.
         assert!(cache
             .lookup(&shapes[0], device.graph(), None, &config)
             .is_some());
-        cache.insert(
-            &shapes[2],
-            device.graph(),
-            None,
-            &config,
-            &router.route(&shapes[2]).unwrap(),
-        );
+        cache
+            .insert(
+                &shapes[2],
+                device.graph(),
+                None,
+                &config,
+                &router.route(&shapes[2]).unwrap(),
+            )
+            .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
@@ -685,13 +654,15 @@ mod tests {
         let router = SabreRouter::new(device.graph().clone(), config).unwrap();
         let cache = PlanCache::with_capacity(1);
         let a = ansatz(4, 1, 0.0);
-        cache.insert(
-            &a,
-            device.graph(),
-            None,
-            &config,
-            &router.route(&a).unwrap(),
-        );
+        cache
+            .insert(
+                &a,
+                device.graph(),
+                None,
+                &config,
+                &router.route(&a).unwrap(),
+            )
+            .unwrap();
 
         // Hold the plan's Arc (simulating a concurrent rebind)...
         let held = cache
@@ -699,13 +670,15 @@ mod tests {
             .unwrap();
         // ...then evict it by inserting a different shape.
         let b = ansatz(4, 2, 0.0);
-        cache.insert(
-            &b,
-            device.graph(),
-            None,
-            &config,
-            &router.route(&b).unwrap(),
-        );
+        cache
+            .insert(
+                &b,
+                device.graph(),
+                None,
+                &config,
+                &router.route(&b).unwrap(),
+            )
+            .unwrap();
         assert_eq!(cache.stats().evictions, 1);
         // The held plan still rebinds correctly.
         let rebound = held.rebind(&ansatz(4, 1, 5.0));
@@ -719,26 +692,22 @@ mod tests {
         let router = SabreRouter::new(device.graph().clone(), config).unwrap();
         let cache = PlanCache::with_capacity(0);
         let a = ansatz(4, 1, 0.0);
-        cache.insert(
-            &a,
-            device.graph(),
-            None,
-            &config,
-            &router.route(&a).unwrap(),
-        );
+        let routed = router.route(&a).unwrap();
+        let quality = cache
+            .insert(&a, device.graph(), None, &config, &routed)
+            .expect("a disabled cache still proves and scores");
+        assert_eq!(quality, PlanQuality::of_result(&a, &routed, None));
         assert!(cache.is_empty());
         assert!(cache.lookup(&a, device.graph(), None, &config).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0), "disabled = uncounted");
     }
 
-    #[test]
-    fn bind_map_accounts_for_inserted_swaps() {
-        // Force SWAPs: route a long-range CX chain on a line.
+    /// A degree-4 star cannot embed in a path, so routing it on a
+    /// 5-qubit line inserts SWAPs; the two angles make rebinds visible.
+    fn star_on_a_line() -> (Circuit, SabreRouter, SabreResult) {
         let device = devices::linear(5);
-        let config = SabreConfig::fast();
-        let router = SabreRouter::new(device.graph().clone(), config).unwrap();
-        // A degree-4 star cannot embed in a path, so SWAPs are inserted.
+        let router = SabreRouter::new(device.graph().clone(), SabreConfig::fast()).unwrap();
         let mut c = Circuit::new(5);
         c.rz(Qubit(0), 0.3);
         for q in 1..5u32 {
@@ -747,20 +716,101 @@ mod tests {
         c.rz(Qubit(4), 0.9);
         let routed = router.route(&c).unwrap();
         assert!(routed.best.num_swaps > 0, "test needs inserted SWAPs");
+        (c, router, routed)
+    }
 
-        let plan = RoutedPlan::from_route(
-            c.clone(),
-            Arc::new(device.graph().clone()),
-            None,
-            config,
-            routed.clone(),
-        )
-        .expect("replay must succeed");
+    #[test]
+    fn rebind_slots_account_for_inserted_swaps() {
+        let (c, router, routed) = star_on_a_line();
+        let config = *router.config();
+        let cache = PlanCache::with_capacity(8);
+        let quality = cache
+            .insert(&c, router.graph(), None, &config, &routed)
+            .expect("replay must succeed");
+        assert_eq!(quality, PlanQuality::of_result(&c, &routed, None));
         let mut resub = c.clone();
         resub.replace_params(0, sabre_circuit::Params::one(-2.2));
         resub.replace_params(5, sabre_circuit::Params::one(0.0));
-        let rebound = plan.rebind(&resub);
+        let rebound = cache
+            .lookup(&resub, router.graph(), None, &config)
+            .expect("same structure must hit");
         assert_eq!(rebound.best, router.route(&resub).unwrap().best);
+    }
+
+    #[test]
+    fn a_circuits_own_swaps_pass_the_proof() {
+        // The input's SWAPs are gates of the computation: the proof must
+        // tell them from the SWAPs the router inserts around them.
+        let (mut c, router, _) = star_on_a_line();
+        c.swap(Qubit(0), Qubit(4));
+        c.rz(Qubit(4), 1.1);
+        c.swap(Qubit(1), Qubit(2));
+        let config = *router.config();
+        let cache = PlanCache::with_capacity(8);
+        cache
+            .insert(
+                &c,
+                router.graph(),
+                None,
+                &config,
+                &router.route(&c).unwrap(),
+            )
+            .expect("a faithful routing of explicit SWAPs verifies");
+        let mut resub = c.clone();
+        resub.replace_params(7, sabre_circuit::Params::one(-0.4));
+        let rebound = cache.lookup(&resub, router.graph(), None, &config).unwrap();
+        assert_eq!(rebound.best, router.route(&resub).unwrap().best);
+    }
+
+    /// Hands `result` to `insert` at capacity 8 (beside one resident,
+    /// once-hit plan) and at capacity 0: each must return exactly the
+    /// verifier's error, cache nothing and leave every counter unchanged.
+    fn assert_rejected(
+        router: &SabreRouter,
+        circuit: &Circuit,
+        result: &SabreResult,
+    ) -> VerifyError {
+        let (graph, config) = (router.graph(), *router.config());
+        let best = &result.best;
+        let expected = verify_routed(
+            circuit,
+            &best.physical,
+            best.initial_layout.logical_to_physical(),
+            best.final_layout.logical_to_physical(),
+            graph,
+        )
+        .expect_err("the corrupted result must fail the proof");
+        for capacity in [8, 0] {
+            let cache = PlanCache::with_capacity(capacity);
+            if capacity > 0 {
+                let other = ansatz(3, 1, 0.0);
+                cache
+                    .insert(&other, graph, None, &config, &router.route(&other).unwrap())
+                    .unwrap();
+                assert!(cache.lookup(&other, graph, None, &config).is_some());
+            }
+            let before = cache.stats();
+            let err = cache
+                .insert(circuit, graph, None, &config, result)
+                .unwrap_err();
+            assert_eq!(err, expected, "capacity {capacity}");
+            assert_eq!(cache.stats(), before, "capacity {capacity}");
+            assert_eq!(cache.len(), capacity.min(1), "capacity {capacity}");
+        }
+        expected
+    }
+
+    /// `result` with its physical circuit rebuilt by `edit`.
+    fn with_physical(result: &SabreResult, edit: impl FnOnce(&mut Vec<Gate>)) -> SabreResult {
+        let mut gates = result.best.physical.gates().to_vec();
+        edit(&mut gates);
+        let mut physical = Circuit::new(result.best.physical.num_qubits());
+        for gate in gates {
+            physical.push(gate);
+        }
+        let mut corrupted = result.clone();
+        corrupted.best.physical = physical;
+        corrupted
     }
 
     #[test]
@@ -772,9 +822,40 @@ mod tests {
         let b = ansatz(4, 2, 0.0);
         let routed_b = router.route(&b).unwrap();
         assert!(
-            RoutedPlan::from_route(a, Arc::new(device.graph().clone()), None, config, routed_b)
-                .is_none(),
+            PlanCache::with_capacity(8)
+                .insert(&a, device.graph(), None, &config, &routed_b)
+                .is_err(),
             "a result not routed from the structure must be rejected"
         );
+        assert_rejected(&router, &a, &routed_b);
+    }
+
+    #[test]
+    fn insert_rejects_a_dropped_swap() {
+        let (c, router, routed) = star_on_a_line();
+        let dropped = with_physical(&routed, |gates| {
+            let first_swap = gates.iter().position(Gate::is_swap).unwrap();
+            gates.remove(first_swap);
+        });
+        assert_rejected(&router, &c, &dropped);
+    }
+
+    #[test]
+    fn insert_rejects_a_gate_on_an_uncoupled_pair() {
+        let (c, router, routed) = star_on_a_line();
+        let moved = with_physical(&routed, |gates| {
+            let first_cx = gates.iter().position(|g| g.qubits().1.is_some()).unwrap();
+            gates[first_cx] = Gate::cx(Qubit(0), Qubit(4));
+        });
+        let err = assert_rejected(&router, &c, &moved);
+        assert!(matches!(err, VerifyError::UncoupledGate { .. }), "{err}");
+    }
+
+    #[test]
+    fn insert_rejects_a_wrong_final_layout() {
+        let (c, router, mut routed) = star_on_a_line();
+        routed.best.final_layout.swap_physical(Qubit(0), Qubit(1));
+        let err = assert_rejected(&router, &c, &routed);
+        assert_eq!(err, VerifyError::FinalLayoutMismatch);
     }
 }

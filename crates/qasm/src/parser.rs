@@ -297,7 +297,18 @@ impl<'a> Parser<'a> {
             self.advance();
             if self.tok.kind != TokenKind::RParen {
                 loop {
+                    let start = self.tok;
                     let value = self.expression()?;
+                    // `0/0` and `pi/0` evaluate, but no gate has a NaN or
+                    // infinite angle (and NaN ≠ NaN would defeat the
+                    // routed plan's proof), so reject them where written.
+                    if !value.is_finite() {
+                        return Err(QasmError::new(
+                            start.line,
+                            start.column,
+                            "parameter expression is not a finite number",
+                        ));
+                    }
                     if let Some(slot) = params.get_mut(num_params) {
                         *slot = value;
                     }
@@ -817,7 +828,11 @@ mod tests {
             (true, "OPENQASM 2.0;\n", 3, 1, "expected a statement, found `OPENQASM`"),
             (false, "OPENQASM 2.0;\ninclude \"qelib1.inc\"", 2, 21, "expected `;`, found end of input"),
             (true, "qreg q[1];\nh q[0];\ninclude \"a\nb\";\n", 5, 9, "unterminated string literal"),
-            (true, "qreg q[1];\nh q[0] // trailing\n;\nrx(pi/0) q[0];\nh q[;\n", 7, 5, "expected a non-negative integer"),
+            (true, "qreg q[1];\nh q[0] // trailing\n;\nrx(pi/0) q[0];\nh q[;\n", 6, 4, "parameter expression is not a finite number"),
+            (true, "qreg q[1];\nrz(0/0) q[0];\n", 4, 4, "parameter expression is not a finite number"),
+            (true, "qreg q[1];\nrx(-pi/0) q[0];\n", 4, 4, "parameter expression is not a finite number"),
+            (true, "qreg q[1];\nu3(0, 2*(1e308*10), 0) q[0];\n", 4, 7, "parameter expression is not a finite number"),
+            (true, "qreg q[1];\nrz(1e309 - 1e309) q[0];\n", 4, 4, "parameter expression is not a finite number"),
             (true, "qreg q;\n", 3, 7, "expected `[`, found `;`"),
             (true, "qreg q[1];\nh q[0], q[0];\n", 4, 1, "gate `h` expects 1 qubit argument(s), got 2"),
             (true, "qreg q[1];\nh q[0] q[0];\n", 4, 8, "expected `;`, found `q`"),

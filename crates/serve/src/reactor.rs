@@ -143,13 +143,14 @@ enum DeadlineKind {
 }
 
 /// The trace of the request currently in flight on a connection: born
-/// when the request parses, finalized (pushed into the trace ring, slow
-/// log checked) once its response is fully flushed.
+/// when the request parses or the parser rejects it, finalized (stamped,
+/// pushed into the trace ring, slow log checked) once its response is
+/// fully flushed.
 struct ActiveTrace {
     /// The record the ring receives. Its `status` is `0` until the
     /// *final* response is queued — an interim `100 Continue` never stamps
-    /// it, so it never finalizes the trace — and `total_ns` is set when
-    /// the trace is sealed.
+    /// it, so it never finalizes the trace — and `unix_ms` and `total_ns`
+    /// are set when the trace is sealed.
     record: RequestTrace,
     /// The request's first byte.
     started: Instant,
@@ -158,21 +159,22 @@ struct ActiveTrace {
 }
 
 impl ActiveTrace {
-    /// Opens the trace of `request`, whose first byte arrived at
+    /// Opens the trace of `request` — `None` when the parser rejected it,
+    /// leaving method and target empty — whose first byte arrived at
     /// `started`, under trace id `id`, with its `read` phase.
-    fn open(id: String, request: &Request, started: Instant) -> ActiveTrace {
-        let target = if request.query.is_empty() {
-            request.path.clone()
-        } else {
-            format!("{}?{}", request.path, request.query)
+    fn open(id: String, request: Option<&Request>, started: Instant) -> ActiveTrace {
+        let (method, target) = match request {
+            None => (String::new(), String::new()),
+            Some(r) if r.query.is_empty() => (r.method.clone(), r.path.clone()),
+            Some(r) => (r.method.clone(), format!("{}?{}", r.path, r.query)),
         };
         ActiveTrace {
             record: RequestTrace {
                 id,
-                method: request.method.clone(),
+                method,
                 target,
                 status: 0,
-                unix_ms: unix_ms_now(),
+                unix_ms: 0,
                 total_ns: 0,
                 notes: TraceNotes {
                     phases: vec![("read", elapsed_ns(started))],
@@ -233,6 +235,20 @@ impl Conn {
             read_started: None,
             trace: None,
         }
+    }
+
+    /// Opens the trace of the request whose bytes just parsed (or were
+    /// rejected): its `read` phase began at the first byte, and a valid
+    /// client-supplied `X-Request-Id` wins over the ID minted at accept,
+    /// so callers can correlate against their own tracing systems.
+    fn open_trace(&mut self, request: Option<&Request>) -> ActiveTrace {
+        let started = self.read_started.take().unwrap_or_else(Instant::now);
+        let id = request
+            .and_then(|r| r.header("x-request-id"))
+            .filter(|id| is_valid_trace_id(id))
+            .map(str::to_string)
+            .unwrap_or_else(|| self.accept_trace_id.take().unwrap_or_else(next_trace_id));
+        ActiveTrace::open(id, request, started)
     }
 
     fn queue_response(&mut self, response: &Response, after: AfterWrite, write_deadline: Duration) {
@@ -671,22 +687,7 @@ impl Reactor {
                             return;
                         };
                         conn.served += 1;
-                        let started = conn.read_started.take().unwrap_or_else(Instant::now);
-                        // A client-supplied X-Request-Id (validated) wins
-                        // over the ID minted at accept, so callers can
-                        // correlate against their own tracing systems.
-                        let id = request
-                            .header("x-request-id")
-                            .filter(|id| is_valid_trace_id(id))
-                            .map(str::to_string)
-                            .unwrap_or_else(|| {
-                                conn.accept_trace_id.take().unwrap_or_else(next_trace_id)
-                            });
-                        (
-                            conn.peer,
-                            conn.served,
-                            ActiveTrace::open(id, &request, started),
-                        )
+                        (conn.peer, conn.served, conn.open_trace(Some(&request)))
                     };
                     let keep = request.wants_keep_alive() && served < self.max_requests;
                     let outcome = dispatch(
@@ -725,7 +726,13 @@ impl Reactor {
                     let write_deadline = self.write_deadline;
                     match error.response() {
                         Some(response) => {
+                            // Traced like every final response, then the
+                            // linger drain instead of keep-alive.
                             if let Some(conn) = self.conns.get_mut(tok) {
+                                let trace = conn.open_trace(None);
+                                let response =
+                                    response.with_header("X-Request-Id", trace.record.id.clone());
+                                conn.trace = Some(trace);
                                 conn.queue_response(&response, AfterWrite::Linger, write_deadline);
                             }
                             self.conn_writable(tok);
@@ -932,14 +939,16 @@ impl Reactor {
         }
     }
 
-    /// Seals a completed request trace: appends the write phase, records
-    /// it against the slow-request log, and retains it in the debug ring.
+    /// Seals a completed request trace: appends the write phase, stamps
+    /// its completion time, records it against the slow-request log, and
+    /// retains it in the debug ring.
     fn finish_trace(&self, trace: ActiveTrace) {
         let mut record = trace.record;
         record
             .notes
             .phases
             .push(("write", elapsed_ns(trace.write_started)));
+        record.unix_ms = unix_ms_now();
         record.total_ns = elapsed_ns(trace.started);
         self.service.slow_log.record(&record);
         self.service.traces.push(record);

@@ -1114,6 +1114,12 @@ fn worker_loop(service: &Arc<RoutingService>) {
     }
 }
 
+/// A plan that fails its proof is the server's fault, never the
+/// client's: `500`, naming the violated property.
+fn unproven(e: impl std::fmt::Display) -> ApiError {
+    ApiError::new(500, format!("plan failed verification: {e}"))
+}
+
 fn execute(
     service: &RoutingService,
     kind: &JobKind,
@@ -1132,15 +1138,20 @@ fn execute(
             .map_err(routing_failed)?;
             let result = router.route(&job.circuit).map_err(routing_failed)?;
             notes.phases.push(("route", route_span.elapsed_ns()));
-            // Cache the routed plan so the next submission of this
-            // structure (any parameters) re-binds inline at dispatch.
-            service.cache.plans().insert(
-                &job.circuit,
-                &job.graph,
-                job.noise.as_ref(),
-                &job.config,
-                &result,
-            );
+            // Prove and score the routed plan, and cache it so the next
+            // submission of this structure (any parameters) re-binds
+            // inline at dispatch.
+            let quality = service
+                .cache
+                .plans()
+                .insert(
+                    &job.circuit,
+                    &job.graph,
+                    job.noise.as_ref(),
+                    &job.config,
+                    &result,
+                )
+                .map_err(unproven)?;
             service.metrics.record_routing(
                 result.elapsed.as_nanos(),
                 result.total_search_steps(),
@@ -1154,9 +1165,6 @@ fn execute(
                 m.observe(Hist::PhaseExtendedSet, profile.extended_set_ns);
                 m.observe(Hist::PhaseScoring, profile.scoring_ns);
             }
-            // Quality runs post-route, off the hot loop: one decomposed-
-            // depth pass plus a log-fidelity sum over the output gates.
-            let quality = PlanQuality::of_result(&job.circuit, &result, job.noise.as_ref());
             Ok(finish_route(service, job, "miss", &result, &quality, notes))
         }
         JobKind::Sharded {
@@ -1180,8 +1188,7 @@ fn execute(
                 route_sharded(circuit, &fleet, config, &service.cache).map_err(sharding_failed)?;
             // The verifier is O(gates): run it on every response so a
             // served plan is never an unproven plan.
-            plan.verify(circuit, &fleet)
-                .map_err(|e| ApiError::new(500, format!("plan failed verification: {e}")))?;
+            plan.verify(circuit, &fleet).map_err(unproven)?;
             for shard in &plan.shards {
                 service.metrics.record_routing(
                     shard.result.elapsed.as_nanos(),

@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 // ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ impl TraceRing {
             return;
         }
         let trace = Arc::new(trace);
-        let mut ring = self.ring.lock().expect("trace ring lock");
+        let mut ring = self.lock();
         if ring.len() == self.capacity {
             ring.pop_front();
         }
@@ -347,18 +347,26 @@ impl TraceRing {
 
     /// The retained traces, **newest first**.
     pub fn snapshot(&self) -> Vec<Arc<RequestTrace>> {
-        let ring = self.ring.lock().expect("trace ring lock");
-        ring.iter().rev().cloned().collect()
+        self.lock().iter().rev().cloned().collect()
     }
 
     /// Number of retained traces.
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("trace ring lock").len()
+        self.lock().len()
     }
 
     /// Whether the ring holds no traces.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Locks the deque, recovering it if a thread panicked while holding
+    /// it. No critical section can leave it inconsistent: a push is one
+    /// `pop_front` and one `push_back`, a read clones `Arc`s, and none
+    /// runs foreign code, so a panic under the lock finds the deque
+    /// either before or after a whole step.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Arc<RequestTrace>>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -514,6 +522,29 @@ mod tests {
         assert_eq!(ring.len(), 3);
         let statuses: Vec<u16> = snap.iter().map(|t| t.status).collect();
         assert_eq!(statuses, vec![204, 203, 202], "newest first");
+    }
+
+    #[test]
+    fn a_poisoned_ring_keeps_recording() {
+        let ring = TraceRing::new(2);
+        let traced = |status: u16| RequestTrace {
+            status,
+            ..sample_trace()
+        };
+        ring.push(traced(200));
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = ring.ring.lock().unwrap();
+                panic!("poison the trace ring");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && ring.ring.is_poisoned());
+        ring.push(traced(201));
+        ring.push(traced(202));
+        let statuses: Vec<u16> = ring.snapshot().iter().map(|t| t.status).collect();
+        assert_eq!(statuses, vec![202, 201], "newest first, still bounded");
+        assert_eq!(ring.len(), 2);
     }
 
     #[test]

@@ -4,25 +4,32 @@ use sabre_topology::CouplingGraph;
 use crate::{check_compliance, VerifyError};
 
 /// Successful replay statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerificationReport {
     /// Original gates matched during replay (equals the original gate
     /// count on success).
     pub gates_replayed: usize,
     /// Inserted SWAPs encountered.
     pub swaps_replayed: usize,
+    /// `executed_at[i]` is the position in the routed circuit of the gate
+    /// that executed original gate `i`; inserted SWAPs occupy the
+    /// remaining positions.
+    pub executed_at: Vec<usize>,
 }
 
 /// Verifies that `routed` faithfully implements `original` given the
 /// claimed initial and final mappings (`logical → physical`, padded to the
 /// device size with virtual qubits).
 ///
-/// The replay walks the routed circuit in order, tracking the layout:
-/// every SWAP updates it; every other gate is pulled back to logical wires
-/// through the current layout and must match a *ready* gate of the
-/// original circuit's dependency DAG. On completion every original gate
-/// must have been matched and the tracked layout must equal `final_map`.
-/// Compliance with the coupling graph is checked along the way.
+/// The replay walks the routed circuit in order, tracking the layout.
+/// Every gate is pulled back to logical wires through the current layout
+/// and matched against the *ready* gates of the original circuit's
+/// dependency DAG; a SWAP that matches none is an inserted SWAP and
+/// updates the layout instead (an original `swap` matches first and
+/// leaves it unchanged). Any other unmatched gate is an error. On
+/// completion every original gate must have been matched and the tracked
+/// layout must equal `final_map`. Compliance with the coupling graph is
+/// checked along the way.
 ///
 /// This catches dropped, duplicated, reordered and mis-mapped gates at any
 /// circuit size, in linear time.
@@ -50,52 +57,84 @@ pub fn verify_routed(
     let final_phys_to_log =
         invert(final_map, n_phys).ok_or(VerifyError::InvalidMapping { which: "final" })?;
 
-    let dag = DependencyDag::new(original);
-    let mut frontier = ExecutionFrontier::new(&dag);
+    let mut replay = DagReplay::new(original);
+    let mut executed_at = vec![usize::MAX; original.num_gates()];
     let mut swaps_replayed = 0usize;
 
     for (routed_index, gate) in routed.iter().enumerate() {
-        if gate.is_swap() {
+        // Pull the gate back to logical wires under the current layout.
+        let logical_gate = gate.map_qubits(|p| phys_to_log[p.index()]);
+        if let Some(idx) = replay.retire(&logical_gate) {
+            executed_at[idx] = routed_index;
+        } else if gate.is_swap() {
             let (a, b) = gate.qubits();
             let b = b.expect("swap is two-qubit");
             phys_to_log.swap(a.index(), b.index());
             swaps_replayed += 1;
-            continue;
-        }
-        // Pull the gate back to logical wires under the current layout.
-        let logical_gate = gate.map_qubits(|p| phys_to_log[p.index()]);
-        // It must match some ready original gate exactly.
-        let matched = frontier
-            .ready()
-            .iter()
-            .copied()
-            .find(|&idx| original.gates()[idx] == logical_gate);
-        match matched {
-            Some(idx) => {
-                frontier.mark_executed(&dag, idx);
-            }
-            None => {
-                return Err(VerifyError::UnexpectedGate {
-                    routed_index,
-                    derived: logical_gate.to_string(),
-                });
-            }
+        } else {
+            return Err(VerifyError::UnexpectedGate {
+                routed_index,
+                derived: logical_gate.to_string(),
+            });
         }
     }
 
-    if !frontier.is_complete() {
-        return Err(VerifyError::IncompleteExecution {
-            executed: frontier.num_executed(),
-            total: original.num_gates(),
-        });
-    }
+    replay.finish()?;
     if phys_to_log != final_phys_to_log {
         return Err(VerifyError::FinalLayoutMismatch);
     }
     Ok(VerificationReport {
         gates_replayed: original.num_gates(),
         swaps_replayed,
+        executed_at,
     })
+}
+
+/// The original circuit's dependency DAG, re-enacted one matched gate at
+/// a time: the match-and-retire step every replay in this crate shares.
+pub(crate) struct DagReplay<'a> {
+    original: &'a Circuit,
+    dag: DependencyDag,
+    frontier: ExecutionFrontier,
+}
+
+impl<'a> DagReplay<'a> {
+    /// A replay with nothing executed yet.
+    pub(crate) fn new(original: &'a Circuit) -> Self {
+        let dag = DependencyDag::new(original);
+        let frontier = ExecutionFrontier::new(&dag);
+        DagReplay {
+            original,
+            dag,
+            frontier,
+        }
+    }
+
+    /// Retires the ready original gate equal to `gate` (logical wires)
+    /// and returns its index; `None` when no ready gate matches.
+    pub(crate) fn retire(&mut self, gate: &Gate) -> Option<usize> {
+        let gates = self.original.gates();
+        let idx = self
+            .frontier
+            .ready()
+            .iter()
+            .copied()
+            .find(|&idx| gates[idx] == *gate)?;
+        self.frontier.retire(&self.dag, idx);
+        Some(idx)
+    }
+
+    /// `Ok` once every original gate has been retired.
+    pub(crate) fn finish(&self) -> Result<(), VerifyError> {
+        if self.frontier.is_complete() {
+            Ok(())
+        } else {
+            Err(VerifyError::IncompleteExecution {
+                executed: self.frontier.num_executed(),
+                total: self.original.num_gates(),
+            })
+        }
+    }
 }
 
 /// Inverts a `logical → physical` bijection into `physical → logical`;
@@ -112,12 +151,6 @@ fn invert(log_to_phys: &[Qubit], n: usize) -> Option<Vec<Qubit>> {
         inv[phys.index()] = Qubit(logical as u32);
     }
     Some(inv)
-}
-
-/// Re-expresses a gate's operands (helper exposed to tests in this crate).
-#[allow(dead_code)]
-fn pull_back(gate: &Gate, phys_to_log: &[Qubit]) -> Gate {
-    gate.map_qubits(|p| phys_to_log[p.index()])
 }
 
 #[cfg(test)]
@@ -151,6 +184,28 @@ mod tests {
         .unwrap();
         assert_eq!(report.gates_replayed, 2);
         assert_eq!(report.swaps_replayed, 1);
+        assert_eq!(report.executed_at, vec![0, 2]);
+    }
+
+    #[test]
+    fn original_swap_matches_before_an_inserted_swap() {
+        let device = devices::linear(2);
+        let mut original = Circuit::new(2);
+        original.swap(Qubit(0), Qubit(1));
+        original.cx(Qubit(0), Qubit(1));
+        // The circuit's own SWAP is a gate of the computation, not a
+        // layout change: the CX after it stays on the identity layout.
+        let routed = original.clone();
+        let report = verify_routed(
+            &original,
+            &routed,
+            &identity_map(2),
+            &identity_map(2),
+            device.graph(),
+        )
+        .unwrap();
+        assert_eq!(report.swaps_replayed, 0);
+        assert_eq!(report.executed_at, vec![0, 1]);
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! before the rest (cross-shard synchronization is the executor's job; the
 //! schedule tells it exactly where to synchronize).
 
-use sabre_circuit::{Circuit, DependencyDag, ExecutionFrontier, Gate, Qubit};
+use sabre_circuit::{Circuit, Gate, Qubit};
 use sabre_topology::CouplingGraph;
 
+use crate::replay::DagReplay;
 use crate::{verify_routed, VerifyError};
 
 /// One shard of a plan, as the verifier consumes it (borrowed views so any
@@ -260,27 +261,13 @@ fn replay_stitched(
     locals: &[Circuit],
     cuts: &[DerivedCut],
 ) -> Result<(), VerifyError> {
-    let dag = DependencyDag::new(original);
-    let mut frontier = ExecutionFrontier::new(&dag);
+    let mut replay = DagReplay::new(original);
     // Next unexecuted gate of each local stream.
     let mut cursor = vec![0usize; locals.len()];
 
-    fn execute(
-        original: &Circuit,
-        dag: &DependencyDag,
-        frontier: &mut ExecutionFrontier,
-        gate: &Gate,
-    ) -> Result<(), VerifyError> {
-        let matched = frontier
-            .ready()
-            .iter()
-            .copied()
-            .find(|&idx| original.gates()[idx] == *gate);
-        match matched {
-            Some(idx) => {
-                frontier.mark_executed(dag, idx);
-                Ok(())
-            }
+    fn execute(replay: &mut DagReplay<'_>, gate: &Gate) -> Result<(), VerifyError> {
+        match replay.retire(gate) {
+            Some(_) => Ok(()),
             None => Err(VerifyError::StitchMismatch {
                 derived: gate.to_string(),
             }),
@@ -288,11 +275,8 @@ fn replay_stitched(
     }
     // Emit shard `s`'s local gates (pulled back to global wires) up to
     // local position `until`.
-    #[allow(clippy::too_many_arguments)]
     fn drain(
-        original: &Circuit,
-        dag: &DependencyDag,
-        frontier: &mut ExecutionFrontier,
+        replay: &mut DagReplay<'_>,
         shards: &[ShardView<'_>],
         locals: &[Circuit],
         cursor: &mut [usize],
@@ -302,7 +286,7 @@ fn replay_stitched(
         while cursor[shard] < until {
             let gate = locals[shard].gates()[cursor[shard]]
                 .map_qubits(|q| shards[shard].logical_qubits[q.index()]);
-            execute(original, dag, frontier, &gate)?;
+            execute(replay, &gate)?;
             cursor[shard] += 1;
         }
         Ok(())
@@ -320,38 +304,15 @@ fn replay_stitched(
                     ),
                 });
             }
-            drain(
-                original,
-                &dag,
-                &mut frontier,
-                shards,
-                locals,
-                &mut cursor,
-                shard,
-                pos,
-            )?;
+            drain(&mut replay, shards, locals, &mut cursor, shard, pos)?;
         }
-        execute(original, &dag, &mut frontier, &cut.gate)?;
+        execute(&mut replay, &cut.gate)?;
     }
     for shard in 0..locals.len() {
-        drain(
-            original,
-            &dag,
-            &mut frontier,
-            shards,
-            locals,
-            &mut cursor,
-            shard,
-            locals[shard].num_gates(),
-        )?;
+        let until = locals[shard].num_gates();
+        drain(&mut replay, shards, locals, &mut cursor, shard, until)?;
     }
-    if !frontier.is_complete() {
-        return Err(VerifyError::IncompleteExecution {
-            executed: frontier.num_executed(),
-            total: original.num_gates(),
-        });
-    }
-    Ok(())
+    replay.finish()
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ fn assert_rebinds_match_fresh_routes(
 
     let base = ansatz(n, 3, 0.4);
     let routed = router.route(&base).unwrap();
-    cache.insert(&base, graph, noise, &config, &routed);
+    cache.insert(&base, graph, noise, &config, &routed).unwrap();
 
     for theta in [1.1f64, 2.7, -0.9] {
         let variant = ansatz(n, 3, theta);
@@ -142,7 +142,9 @@ fn rebind_is_at_least_50x_cheaper_than_routing() {
         route_times.push(start.elapsed());
         seeded.get_or_insert(routed);
     }
-    cache.insert(&deep, &graph, None, &config, &seeded.unwrap());
+    cache
+        .insert(&deep, &graph, None, &config, &seeded.unwrap())
+        .unwrap();
 
     let mut rebind_times = Vec::new();
     for i in 0..50 {
@@ -173,7 +175,7 @@ fn structural_fingerprint_keys_hits_and_misses() {
 
     let base = ansatz(8, 2, 0.25);
     let routed = router.route(&base).unwrap();
-    cache.insert(&base, &graph, None, &config, &routed);
+    cache.insert(&base, &graph, None, &config, &routed).unwrap();
 
     // Same structure, different angles: hit.
     assert!(cache
@@ -213,7 +215,7 @@ proptest! {
 
         let base = ansatz(10, 2, theta_base);
         let routed = router.route(&base).unwrap();
-        cache.insert(&base, &graph, None, &config, &routed);
+        cache.insert(&base, &graph, None, &config, &routed).unwrap();
 
         let variant = ansatz(10, 2, theta_variant);
         let hit = cache

@@ -15,7 +15,9 @@
 //!   metric names, `# TYPE` before samples, monotone histogram buckets.
 
 use std::collections::{HashMap, HashSet};
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 mod common;
 use common::{get_json, http, http_with_headers, post_json};
@@ -640,4 +642,104 @@ fn each_request_kind_leaves_its_trace_shape() {
         let trace = find_trace(addr, id);
         assert_eq!(trace_shape(&trace), expected, "{id}: {trace}");
     }
+
+    // Requests the HTTP parser rejects never reach a handler (and their
+    // own `X-Request-Id` is never read), yet each is answered under the
+    // ID minted at accept and leaves a trace with empty method and target.
+    let rejected = [
+        ("malformed head", "NOT-HTTP\r\n\r\n".to_string(), 400),
+        (
+            "oversized body",
+            "POST /route HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n".to_string(),
+            413,
+        ),
+    ];
+    for (what, bytes, status) in rejected {
+        let (got, id) = raw_exchange(addr, &bytes);
+        assert_eq!(got, status, "{what}");
+        let id = id.unwrap_or_else(|| panic!("{what}: answer carries X-Request-Id"));
+        let trace = find_trace(addr, &id);
+        assert_eq!(
+            trace_shape(&trace),
+            shape(status.into(), None, &[], &["read", "write"]),
+            "{what}: {trace}"
+        );
+        for field in ["method", "target"] {
+            assert_eq!(
+                trace.get(field).and_then(JsonValue::as_str),
+                Some(""),
+                "{what}: {trace}"
+            );
+        }
+    }
+}
+
+/// Writes `bytes` on a fresh connection, half-closes it (ending the
+/// server's post-error linger drain), and returns the response status
+/// and its `X-Request-Id`.
+fn raw_exchange(addr: SocketAddr, bytes: &str) -> (u16, Option<String>) {
+    let mut stream = TcpStream::connect(addr).expect("connect to loopback server");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream.write_all(bytes.as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let head = raw.split("\r\n\r\n").next().unwrap_or_default();
+    let status = head
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no status line in {raw:?}"));
+    let id = head
+        .split("\r\n")
+        .filter_map(|line| line.split_once(':'))
+        .find(|(name, _)| name.eq_ignore_ascii_case("x-request-id"))
+        .map(|(_, value)| value.trim().to_string());
+    (status, id)
+}
+
+/// A trace's `unix_ms` is its completion stamp: no earlier than the
+/// moment the request was sent plus its total wall time, no later than
+/// the moment its response was read. A stamp taken at parse would land
+/// a route's duration too early.
+#[test]
+fn trace_unix_ms_is_the_completion_stamp() {
+    let handle = server(ServeConfig::default());
+    let addr = handle.addr();
+    register(addr, "tokyo", "tokyo20");
+    let now_ms = || {
+        SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .unwrap()
+            .as_millis() as u64
+    };
+    let body = route_body("tokyo", &workload(20, 4000), 3);
+    let sent_ms = now_ms();
+    let (status, _, text) = http_with_headers(
+        addr,
+        "POST",
+        "/route?profile=true",
+        &[("X-Request-Id", "stamp")],
+        Some(&body),
+    );
+    let received_ms = now_ms();
+    assert_eq!(status, 200, "{text}");
+    let trace = find_trace(addr, "stamp");
+    let field = |name: &str| trace.get(name).and_then(JsonValue::as_u64).unwrap();
+    let (unix_ms, total_ns) = (field("unix_ms"), field("total_ns"));
+    let read_ns = phase_map(&trace)["read"];
+    assert!(
+        total_ns - read_ns >= 3_000_000,
+        "the request must outlast its parse by more than the clock's slack: {trace}"
+    );
+    assert!(
+        unix_ms + 1 >= sent_ms + total_ns / 1_000_000,
+        "stamped before completion: sent at {sent_ms}, {trace}"
+    );
+    assert!(
+        unix_ms <= received_ms,
+        "stamped after the response was read: {trace}"
+    );
 }
