@@ -61,6 +61,13 @@ impl Fingerprinter {
         self.write_bytes(&value.to_le_bytes());
     }
 
+    /// Mixes a string: its byte length, then its bytes, so adjacent
+    /// strings cannot run together.
+    pub fn write_str(&mut self, value: &str) {
+        self.write_u64(value.len() as u64);
+        self.write_bytes(value.as_bytes());
+    }
+
     /// Mixes a float via its IEEE-754 bit pattern. `NaN` payloads and the
     /// sign of zero are preserved bit-for-bit — callers canonicalize if
     /// they need `-0.0 == 0.0` semantics.
@@ -98,6 +105,17 @@ mod tests {
         b.write_u64(2);
         b.write_u64(1);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn strings_do_not_run_together() {
+        let fold = |parts: &[&str]| {
+            let mut fp = Fingerprinter::new("t");
+            parts.iter().for_each(|part| fp.write_str(part));
+            fp.finish()
+        };
+        assert_ne!(fold(&["ab", "c"]), fold(&["a", "bc"]));
+        assert_eq!(fold(&["ab", "c"]), fold(&["ab", "c"]));
     }
 
     #[test]

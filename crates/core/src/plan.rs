@@ -229,19 +229,34 @@ impl RoutedPlan {
         self.structure.same_structure(circuit)
             && *self.graph == *graph
             && self.noise.as_ref() == noise
-            && same_objective(&self.config, config)
+            && self.config.same_objective(config)
     }
 }
 
-/// The objective-defining subset of [`SabreConfig`] compared field-by-
-/// field on every hit (see the [module docs](self) for the field table).
-fn same_objective(a: &SabreConfig, b: &SabreConfig) -> bool {
-    a.heuristic == b.heuristic
-        && a.extended_set_size == b.extended_set_size
-        && a.extended_set_weight == b.extended_set_weight
-        && a.decay_delta == b.decay_delta
-        && a.decay_reset_interval == b.decay_reset_interval
-        && a.livelock_slack == b.livelock_slack
+impl SabreConfig {
+    /// Whether `self` and `other` agree on every objective-defining field:
+    /// the fields a plan cache compares on every hit (see the
+    /// [module docs](self) for the field table). Effort knobs — `seed`,
+    /// restarts, traversals, the probe budget — and `profile` are ignored.
+    pub fn same_objective(&self, other: &SabreConfig) -> bool {
+        self.heuristic == other.heuristic
+            && self.extended_set_size == other.extended_set_size
+            && self.extended_set_weight == other.extended_set_weight
+            && self.decay_delta == other.decay_delta
+            && self.decay_reset_interval == other.decay_reset_interval
+            && self.livelock_slack == other.livelock_slack
+    }
+
+    /// Folds the fields [`SabreConfig::same_objective`] compares into a
+    /// plan-cache key.
+    pub fn write_objective(&self, fp: &mut Fingerprinter) {
+        fp.write_u64(self.heuristic as u64);
+        fp.write_u64(self.extended_set_size as u64);
+        fp.write_f64(self.extended_set_weight);
+        fp.write_f64(self.decay_delta);
+        fp.write_u64(u64::from(self.decay_reset_interval));
+        fp.write_u64(self.livelock_slack as u64);
+    }
 }
 
 /// The cache key: structure × device × noise × normalized config, folded
@@ -267,12 +282,7 @@ fn plan_key(
         }
         None => fp.write_u64(0),
     }
-    fp.write_u64(config.heuristic as u64);
-    fp.write_u64(config.extended_set_size as u64);
-    fp.write_f64(config.extended_set_weight);
-    fp.write_f64(config.decay_delta);
-    fp.write_u64(u64::from(config.decay_reset_interval));
-    fp.write_u64(config.livelock_slack as u64);
+    config.write_objective(&mut fp);
     fp.finish()
 }
 

@@ -89,10 +89,11 @@ impl TranspileOutput {
 /// Runs the full pipeline. See the [module documentation](self) for the
 /// stages.
 ///
-/// The output circuit is verified internally against the routing artifact
-/// stage by stage in debug builds; for release-grade assurance on small
-/// registers, pass the output through
-/// `sabre_verify::verify_semantics_small`.
+/// No stage checks its output, in any build: neither the routing nor the
+/// SWAP decomposition, the peephole optimizer or the direction fixes. To
+/// check the result, pass it to `sabre_verify::check_compliance` (coupling
+/// legality, any size) or `sabre_verify::verify_semantics_small` (full
+/// equivalence, small registers).
 ///
 /// # Errors
 ///

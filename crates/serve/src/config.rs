@@ -69,15 +69,16 @@ pub struct ServeConfig {
     /// How long a keep-alive connection may sit idle between requests
     /// before the reactor closes it.
     pub idle_timeout_ms: u64,
-    /// Routed-plan cache capacity (entries). A `POST /route` whose
-    /// circuit *structure* was routed before on the same device, noise
-    /// fingerprint, and heuristic objective skips the search entirely:
-    /// the cached plan is re-bound with the new gate parameters and
-    /// answered inline on the reactor thread, bypassing admission
-    /// pricing and the worker queue. `0` disables plan caching — which
-    /// also restores strict per-request seed sensitivity, since the plan
-    /// key deliberately ignores search-effort knobs (`seed`,
-    /// `num_restarts`, …).
+    /// Capacity (entries) of each of the two plan caches: the routed-plan
+    /// cache behind `POST /route` and the sharded-plan cache behind
+    /// `POST /route_sharded`. A request whose circuit *structure* was
+    /// routed before on the same device (or fleet), noise fingerprints
+    /// and objective skips the search entirely: the cached, proven plan
+    /// is re-bound with the new gate parameters and answered inline on
+    /// the reactor thread, bypassing admission pricing and the worker
+    /// queue. `0` disables both caches — which also restores strict
+    /// per-request seed sensitivity, since the plan keys deliberately
+    /// ignore search-effort knobs (`seed`, `num_restarts`, …).
     pub plan_cache_capacity: usize,
     /// Capacity of the in-memory ring of completed request traces served
     /// by `GET /debug/traces` (newest first). Every request is traced —

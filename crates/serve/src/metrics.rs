@@ -8,7 +8,7 @@
 //! Each series reads a `Source`: a `Counter` slot (a relaxed
 //! `AtomicU64`), a `Hist` slot (a fixed-bucket histogram), a scrape-time
 //! read of gauges owned elsewhere ([`GaugeSnapshot`], [`DeviceCacheStats`],
-//! [`PlanCacheStats`]) or of a derived value, or the per-device quality
+//! the two caches' [`PlanCacheStats`]) or of a derived value, or the per-device quality
 //! board (one sample per device id). Adding a family takes one row plus
 //! its call site: a `Counter` or `Hist` variant bumped by `Metrics::add`
 //! or `Metrics::observe` where the event happens, or a `Read`.
@@ -157,6 +157,7 @@ struct Scrape<'a> {
     gauges: GaugeSnapshot,
     cache: DeviceCacheStats,
     plans: PlanCacheStats,
+    sharded: PlanCacheStats,
 }
 
 /// Every `/metrics` family, in exposition order.
@@ -231,6 +232,14 @@ static FAMILIES: &[Family] = &[
         "Estimated heap bytes held by cached routed plans."),
     counter("plan_cache_inline_hits_total", Count(PlanCacheInlineHits),
         "/route requests answered inline from the plan cache."),
+    counter("sharded_plan_cache_hits_total", Read(|s| s.sharded.hits),
+        "/route_sharded requests answered inline by re-binding a proven sharded plan."),
+    counter("sharded_plan_cache_misses_total", Read(|s| s.sharded.misses),
+        "Sharded-plan lookups that fell through to a full sharded route."),
+    counter("sharded_plan_cache_evictions_total", Read(|s| s.sharded.evictions),
+        "Sharded plans evicted by the LRU capacity bound."),
+    gauge("sharded_plan_cache_entries", Read(|s| s.sharded.entries as u64),
+        "Sharded plans currently cached."),
     // Re-binding is a clone plus a parameter stamp: microseconds, so the
     // bands start at 1µs and top out at 100ms to catch pathologies.
     family(Kind::Histogram(&[
@@ -612,12 +621,14 @@ impl Metrics {
         gauges: GaugeSnapshot,
         cache: DeviceCacheStats,
         plans: PlanCacheStats,
+        sharded: PlanCacheStats,
     ) -> String {
         let scrape = Scrape {
             metrics: self,
             gauges,
             cache,
             plans,
+            sharded,
         };
         let mut out = String::new();
         for family in FAMILIES {
@@ -686,6 +697,13 @@ mod tests {
                 entries: 3,
                 approx_bytes: 9001,
             },
+            PlanCacheStats {
+                hits: 11,
+                misses: 2,
+                evictions: 0,
+                entries: 2,
+                approx_bytes: 777,
+            },
         );
         assert!(text.contains("sabre_serve_queue_depth 2"));
         assert!(text.contains("sabre_serve_queue_capacity 8"));
@@ -712,6 +730,8 @@ mod tests {
         assert!(text.contains("sabre_serve_plan_cache_entries 3"));
         assert!(text.contains("sabre_serve_plan_cache_approx_bytes 9001"));
         assert!(text.contains("sabre_serve_plan_cache_inline_hits_total 5"));
+        assert!(text.contains("sabre_serve_sharded_plan_cache_hits_total 11"));
+        assert!(text.contains("sabre_serve_sharded_plan_cache_entries 2"));
         assert!(text.contains("# TYPE sabre_serve_rebind_ns histogram"));
         assert!(text.contains("sabre_serve_rebind_ns_bucket{le=\"5000\"} 1"));
         assert!(text.contains("sabre_serve_rebind_ns_count 1"));
@@ -748,6 +768,7 @@ mod tests {
                 max_connections: 1,
             },
             DeviceCacheStats::default(),
+            PlanCacheStats::default(),
             PlanCacheStats::default(),
         );
         assert!(text.contains("# TYPE sabre_serve_admission_predicted_wait_ms histogram"));
@@ -791,6 +812,7 @@ mod tests {
                 max_connections: 1,
             },
             DeviceCacheStats::default(),
+            PlanCacheStats::default(),
             PlanCacheStats::default(),
         );
         assert!(text.contains("# TYPE sabre_serve_route_swaps histogram"));
@@ -920,6 +942,13 @@ mod tests {
                 evictions: 43,
                 entries: 44,
                 approx_bytes: 45_000,
+            },
+            PlanCacheStats {
+                hits: 51,
+                misses: 52,
+                evictions: 53,
+                entries: 54,
+                approx_bytes: 55_000,
             },
         );
         assert_eq!(text, GOLDEN);
@@ -1051,6 +1080,18 @@ sabre_serve_plan_cache_approx_bytes 45000
 # HELP sabre_serve_plan_cache_inline_hits_total /route requests answered inline from the plan cache.
 # TYPE sabre_serve_plan_cache_inline_hits_total counter
 sabre_serve_plan_cache_inline_hits_total 2424
+# HELP sabre_serve_sharded_plan_cache_hits_total /route_sharded requests answered inline by re-binding a proven sharded plan.
+# TYPE sabre_serve_sharded_plan_cache_hits_total counter
+sabre_serve_sharded_plan_cache_hits_total 51
+# HELP sabre_serve_sharded_plan_cache_misses_total Sharded-plan lookups that fell through to a full sharded route.
+# TYPE sabre_serve_sharded_plan_cache_misses_total counter
+sabre_serve_sharded_plan_cache_misses_total 52
+# HELP sabre_serve_sharded_plan_cache_evictions_total Sharded plans evicted by the LRU capacity bound.
+# TYPE sabre_serve_sharded_plan_cache_evictions_total counter
+sabre_serve_sharded_plan_cache_evictions_total 53
+# HELP sabre_serve_sharded_plan_cache_entries Sharded plans currently cached.
+# TYPE sabre_serve_sharded_plan_cache_entries gauge
+sabre_serve_sharded_plan_cache_entries 54
 # HELP sabre_serve_rebind_ns Parameter re-bind latency (ns) for plan-cache hits.
 # TYPE sabre_serve_rebind_ns histogram
 sabre_serve_rebind_ns_bucket{le="1000"} 0
@@ -1217,6 +1258,7 @@ sabre_serve_device_swaps_total{device="tokyo20"} 3004
             },
             DeviceCacheStats::default(),
             PlanCacheStats::default(),
+            PlanCacheStats::default(),
         );
         assert!(text.contains("sabre_serve_device_routes_total{device=\"tokyo20\"} 2"));
         assert!(text.contains("sabre_serve_device_swaps_total{device=\"tokyo20\"} 12"));
@@ -1237,6 +1279,7 @@ sabre_serve_device_swaps_total{device="tokyo20"} 3004
                 max_connections: 16,
             },
             DeviceCacheStats::default(),
+            PlanCacheStats::default(),
             PlanCacheStats::default(),
         );
         assert!(text.contains("sabre_serve_avg_route_ns_per_step 0"));

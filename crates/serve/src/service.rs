@@ -22,10 +22,10 @@
 //! `503 + Retry-After` computed from the same model (config floor). No
 //! unbounded buffering — the ROADMAP's backpressure requirement.
 //! Before any of that pricing, `POST /route` consults the routed-plan
-//! cache: a structure that was routed before (same device, noise,
-//! heuristic objective) is answered inline on the reactor thread by
-//! re-binding the cached plan's parameters — zero search steps, no
-//! queue traversal.
+//! cache, and `POST /route_sharded` the sharded-plan cache: a structure
+//! that was routed and proven before (same device or fleet, noise,
+//! objective) is answered inline on the reactor thread by re-binding the
+//! cached plan's parameters — zero search steps, no queue traversal.
 //!
 //! Worker threads do the expensive work against a process-wide
 //! [`DeviceCache`], so every request shares the same preprocessed
@@ -60,7 +60,10 @@ use sabre::{
 };
 use sabre_circuit::Circuit;
 use sabre_json::JsonValue;
-use sabre_shard::{route_sharded, Fleet, ShardConfig, ShardError};
+use sabre_shard::{
+    route_sharded, Fleet, MemberKey, ShardConfig, ShardError, ShardedPlan, ShardedPlanCache,
+    ShardedQuality,
+};
 use sabre_topology::noise::NoiseModel;
 use sabre_topology::{CouplingGraph, DistanceBackend, DEVICE_CACHE_CAPACITY};
 use sabre_trace::{SlowLog, Span, TraceNotes, TraceRing};
@@ -130,6 +133,29 @@ struct RouteJob {
     include_physical: bool,
 }
 
+/// A `POST /route_sharded` request, resolved against the registry.
+struct ShardedJob {
+    /// `(device id, graph, noise)` snapshots, in fleet order.
+    members: Vec<(String, Arc<CouplingGraph>, Option<NoiseModel>)>,
+    circuit: Circuit,
+    config: ShardConfig,
+    include_physical: bool,
+}
+
+impl ShardedJob {
+    /// The members as the sharded-plan cache keys them.
+    fn keys(&self) -> Vec<MemberKey<'_>> {
+        self.members
+            .iter()
+            .map(|(id, graph, noise)| MemberKey {
+                id,
+                graph,
+                noise: noise.as_ref(),
+            })
+            .collect()
+    }
+}
+
 enum JobKind {
     Route(RouteJob),
     Batch {
@@ -139,13 +165,7 @@ enum JobKind {
         options: TranspileOptions,
         include_physical: bool,
     },
-    Sharded {
-        /// `(device id, graph, noise)` snapshots, in fleet order.
-        members: Vec<(String, Arc<CouplingGraph>, Option<NoiseModel>)>,
-        circuit: Circuit,
-        config: ShardConfig,
-        include_physical: bool,
-    },
+    Sharded(ShardedJob),
 }
 
 /// Most device ids `POST /devices` (and `--preload`) will register: one
@@ -232,6 +252,9 @@ impl<T> Registry<T> {
 pub(crate) struct RoutingService {
     pub(crate) config: ServeConfig,
     cache: DeviceCache,
+    /// Proven `/route_sharded` plans, keyed by structure, fleet and
+    /// objective; `/route`'s plans live in `cache.plans()`.
+    sharded_plans: ShardedPlanCache,
     devices: Registry<RegisteredDevice>,
     /// Named fleets: ordered device-id lists for `POST /route_sharded`.
     fleets: Registry<Vec<String>>,
@@ -259,11 +282,13 @@ impl RoutingService {
     fn new(config: ServeConfig, waker: Waker) -> Self {
         let queue = BoundedQueue::new(config.queue_capacity);
         let cache = DeviceCache::with_plan_capacity(config.plan_cache_capacity);
+        let sharded_plans = ShardedPlanCache::with_capacity(config.plan_cache_capacity);
         let traces = TraceRing::new(config.trace_capacity);
         let slow_log = SlowLog::new(config.log_format, config.slow_request_ms);
         RoutingService {
             config,
             cache,
+            sharded_plans,
             devices: Registry::new("device", MAX_DEVICES),
             fleets: Registry::new("fleet", MAX_FLEETS),
             queue,
@@ -511,15 +536,36 @@ pub(crate) struct AdmitCtx<'a> {
 }
 
 /// Routes one parsed request. Cheap endpoints (health, metrics,
-/// registration, listings) are answered inline on the reactor thread;
-/// routing work is priced, admission-checked, and queued for the worker
-/// pool. A handler's [`ApiError`] becomes its response here.
+/// registration, listings) and plan-cache hits are answered inline on the
+/// reactor thread; routing work is priced, admission-checked, and queued
+/// for the worker pool. A handler's [`ApiError`] becomes its response
+/// here, and a handler's panic a `500`: the reactor thread serves every
+/// connection, so one request's fault must not stop it.
 pub(crate) fn dispatch(
     service: &RoutingService,
     request: &Request,
     ctx: &mut AdmitCtx<'_>,
 ) -> Outcome {
-    handle(service, request, ctx).unwrap_or_else(|e| Outcome::Respond(e.response()))
+    let trace_id = ctx.trace_id;
+    contain_panic("handling the request", trace_id, || {
+        handle(service, request, ctx)
+    })
+    .unwrap_or_else(|e| Outcome::Respond(e.response()))
+}
+
+/// Runs `handler`, turning a panic into a `500` that names the request's
+/// trace id: the one guard around reactor dispatch and worker execution.
+fn contain_panic<T>(
+    doing: &str,
+    trace_id: &str,
+    handler: impl FnOnce() -> Result<T, ApiError>,
+) -> Result<T, ApiError> {
+    catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        Err(ApiError::new(
+            500,
+            format!("internal error {doing} (request {trace_id})"),
+        ))
+    })
 }
 
 fn handle(
@@ -542,6 +588,7 @@ fn handle(
                     service.gauges(),
                     service.cache.stats(),
                     service.cache.plans().stats(),
+                    service.sharded_plans.stats(),
                 ),
             )
         }
@@ -789,12 +836,12 @@ fn parse_sharded_request(service: &RoutingService, body: &JsonValue) -> Result<J
             .ok_or_else(|| ApiError::bad_request("missing \"circuit\""))?,
     )?;
     let config = api::apply_shard_overrides(body, service.config.default_config)?;
-    Ok(JobKind::Sharded {
+    Ok(JobKind::Sharded(ShardedJob {
         members,
         circuit,
         config,
         include_physical: flag(body, "include_physical", false),
-    })
+    }))
 }
 
 /// A boolean body field; `default` when it is absent or not a boolean.
@@ -890,22 +937,28 @@ fn admit_job(
     let parse_span = Span::now();
     let mut kind = parse(service, &parse_body(request)?)?;
     ctx.notes.phases.push(("parse", parse_span.elapsed_ns()));
-    if let JobKind::Route(job) = &mut kind {
-        // The `?profile=true` query flag switches on the hot-loop profiler
-        // for this request, equivalent to `"config": {"profile": true}`.
-        if request.query_flag("profile") {
-            job.config.profile = true;
-        }
-        // Profiled requests bypass the cache: a rebind runs zero search,
-        // so it has no hot-loop profile to report — they must reach a
-        // worker.
-        if !job.config.profile {
-            if let Some(response) = route_from_plan_cache(service, job, ctx.notes) {
-                return Ok(Outcome::Respond(response));
+    let cached = match &mut kind {
+        JobKind::Route(job) => {
+            // The `?profile=true` query flag switches on the hot-loop
+            // profiler for this request, equivalent to `"config":
+            // {"profile": true}`.
+            if request.query_flag("profile") {
+                job.config.profile = true;
             }
+            // Profiled requests bypass the cache: a rebind runs zero
+            // search, so it has no hot-loop profile to report — they must
+            // reach a worker.
+            (!job.config.profile)
+                .then(|| route_from_plan_cache(service, job, ctx.notes))
+                .flatten()
         }
-    }
-    Ok(admit(service, kind, ctx))
+        JobKind::Sharded(job) => sharded_from_plan_cache(service, job, ctx.notes),
+        JobKind::Batch { .. } => None,
+    };
+    Ok(match cached {
+        Some(response) => Outcome::Respond(response),
+        None => admit(service, kind, ctx),
+    })
 }
 
 /// Routed-plan fast path, checked *before* admission pricing: a `/route`
@@ -947,6 +1000,90 @@ fn route_from_plan_cache(
     // the admission model. The quality rides the cached plan (computed
     // once at the original miss) — zero recompute on this inline path.
     Some(finish_route(service, job, "hit", &result, &quality, notes))
+}
+
+/// `/route_sharded`'s fast path, the twin of [`route_from_plan_cache`]: a
+/// structure already routed, proven and scored on this fleet is answered
+/// inline by re-binding its angles, with no fleet build, no partition and
+/// no search. `None` on a miss.
+fn sharded_from_plan_cache(
+    service: &RoutingService,
+    job: &ShardedJob,
+    notes: &mut TraceNotes,
+) -> Option<Response> {
+    let lookup_span = Span::now();
+    let cached = service
+        .sharded_plans
+        .lookup(&job.circuit, &job.keys(), &job.config);
+    let lookup_ns = lookup_span.elapsed_ns();
+    let Some((plan, quality)) = cached else {
+        notes.phases.push(("plan_cache", lookup_ns));
+        return None;
+    };
+    let rebind_ns = plan.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
+    service.metrics.observe(Hist::RebindNs, rebind_ns);
+    service.metrics.add(Counter::CircuitsRouted, 1);
+    notes
+        .phases
+        .push(("plan_cache", lookup_ns.saturating_sub(rebind_ns)));
+    notes.phases.push(("rebind", rebind_ns));
+    Some(finish_sharded(service, job, "hit", &plan, &quality, notes))
+}
+
+/// The end of every `POST /route_sharded`, hit or miss: observe each
+/// shard's quality under its member's id, annotate the trace, and
+/// serialize the response (the `serialize` phase). Every plan it renders
+/// was proven by [`ShardedPlanCache::insert`], on this request or on the
+/// miss that cached it.
+fn finish_sharded(
+    service: &RoutingService,
+    job: &ShardedJob,
+    plan_cache: &str,
+    plan: &ShardedPlan,
+    quality: &ShardedQuality,
+    notes: &mut TraceNotes,
+) -> Response {
+    for shard in &quality.shards {
+        service
+            .metrics
+            .observe_quality(&shard.member, &shard.quality);
+    }
+    notes
+        .annotations
+        .push(("swaps", quality.total_swaps as u64));
+    notes
+        .annotations
+        .push(("cut_gates", quality.cut_gates as u64));
+    let serialize_span = Span::now();
+    let fleet = job
+        .members
+        .iter()
+        .map(|(id, _, _)| JsonValue::from(id.as_str()))
+        .collect();
+    let noise_aware = job.members.iter().any(|(_, _, noise)| noise.is_some());
+    let mut fields = vec![
+        ("fleet", fleet),
+        ("noise_aware", noise_aware.into()),
+        ("seed", job.config.sabre.seed.into()),
+        ("plan_cache", plan_cache.into()),
+        ("verified", true.into()),
+        ("quality", quality.to_json()),
+        ("plan", plan.to_json()),
+    ];
+    if job.include_physical {
+        fields.push((
+            "shards_physical_qasm",
+            plan.shards
+                .iter()
+                .map(|shard| JsonValue::from(sabre_qasm::to_qasm(&shard.result.best.physical)))
+                .collect(),
+        ));
+    }
+    let response = Response::json(200, &JsonValue::object(fields));
+    notes
+        .phases
+        .push(("serialize", serialize_span.elapsed_ns()));
+    response
 }
 
 /// The end of every `POST /route`, shared by the inline plan-cache hit
@@ -1062,12 +1199,10 @@ fn job_cost(kind: &JobKind) -> u64 {
                 options.config.num_traversals,
             ))
         }),
-        JobKind::Sharded {
-            circuit, config, ..
-        } => admission::estimate_steps(
-            circuit.num_two_qubit_gates(),
-            config.sabre.num_restarts,
-            config.sabre.num_traversals,
+        JobKind::Sharded(job) => admission::estimate_steps(
+            job.circuit.num_two_qubit_gates(),
+            job.config.sabre.num_restarts,
+            job.config.sabre.num_traversals,
         ),
     }
 }
@@ -1092,17 +1227,10 @@ fn worker_loop(service: &Arc<RoutingService>) {
             phases: vec![("queue_wait", queue_wait_ns)],
             ..TraceNotes::default()
         };
-        let response = catch_unwind(AssertUnwindSafe(|| execute(service, &job.kind, &mut notes)))
-            .unwrap_or_else(|_| {
-                Err(ApiError::new(
-                    500,
-                    format!(
-                        "internal error executing the job (request {})",
-                        job.trace_id
-                    ),
-                ))
-            })
-            .unwrap_or_else(|e| e.response());
+        let response = contain_panic("executing the job", &job.trace_id, || {
+            execute(service, &job.kind, &mut notes)
+        })
+        .unwrap_or_else(|e| e.response());
         service.inflight_cost.fetch_sub(cost, Ordering::Relaxed);
         let finished = if response.status() < 400 {
             Counter::JobsCompleted
@@ -1167,28 +1295,27 @@ fn execute(
             }
             Ok(finish_route(service, job, "miss", &result, &quality, notes))
         }
-        JobKind::Sharded {
-            members,
-            circuit,
-            config,
-            include_physical,
-        } => {
+        JobKind::Sharded(job) => {
+            let route_span = Span::now();
             let sharding_failed =
                 |e: ShardError| ApiError::new(422, format!("sharded routing failed: {e}"));
             let mut fleet = Fleet::new();
-            let noise_aware = members.iter().any(|(_, _, noise)| noise.is_some());
-            for (id, graph, noise) in members {
+            for (id, graph, noise) in &job.members {
                 match noise {
                     Some(noise) => fleet.register_with_noise(id, graph.clone(), noise.clone()),
                     None => fleet.register(id, graph.clone()),
                 }
                 .map_err(sharding_failed)?;
             }
-            let plan =
-                route_sharded(circuit, &fleet, config, &service.cache).map_err(sharding_failed)?;
-            // The verifier is O(gates): run it on every response so a
-            // served plan is never an unproven plan.
-            plan.verify(circuit, &fleet).map_err(unproven)?;
+            let plan = route_sharded(&job.circuit, &fleet, &job.config, &service.cache)
+                .map_err(sharding_failed)?;
+            notes.phases.push(("route", route_span.elapsed_ns()));
+            // Prove and score the plan once, and cache it so the next
+            // submission of this structure re-binds inline at dispatch.
+            let quality = service
+                .sharded_plans
+                .insert(&job.circuit, &fleet, &job.config, &plan)
+                .map_err(unproven)?;
             for shard in &plan.shards {
                 service.metrics.record_routing(
                     shard.result.elapsed.as_nanos(),
@@ -1197,47 +1324,7 @@ fn execute(
                 );
             }
             service.metrics.add(Counter::CircuitsRouted, 1);
-            // Each shard scores against its own member's noise model and
-            // lands on the scoreboard under that member's id.
-            let quality = plan.quality(circuit, &fleet);
-            for shard in &quality.shards {
-                service
-                    .metrics
-                    .observe_quality(&shard.member, &shard.quality);
-            }
-            notes
-                .annotations
-                .push(("swaps", quality.total_swaps as u64));
-            notes
-                .annotations
-                .push(("cut_gates", quality.cut_gates as u64));
-            let mut fields = vec![
-                (
-                    "fleet",
-                    fleet
-                        .members()
-                        .iter()
-                        .map(|m| JsonValue::from(m.id()))
-                        .collect(),
-                ),
-                ("noise_aware", noise_aware.into()),
-                ("seed", config.sabre.seed.into()),
-                ("verified", true.into()),
-                ("quality", quality.to_json()),
-                ("plan", plan.to_json()),
-            ];
-            if *include_physical {
-                fields.push((
-                    "shards_physical_qasm",
-                    plan.shards
-                        .iter()
-                        .map(|shard| {
-                            JsonValue::from(sabre_qasm::to_qasm(&shard.result.best.physical))
-                        })
-                        .collect(),
-                ));
-            }
-            Ok(Response::json(200, &JsonValue::object(fields)))
+            Ok(finish_sharded(service, job, "miss", &plan, &quality, notes))
         }
         JobKind::Batch {
             device_id,
@@ -1325,6 +1412,25 @@ mod tests {
         assert_eq!(registry.insert("b".to_string(), 2), Ok(false));
         assert_eq!(registry.read().get("a"), Some(&1));
         assert_eq!(registry.insert("c".to_string(), 3).unwrap_err().status, 409);
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_naming_its_request() {
+        let err = contain_panic(
+            "handling the request",
+            "t-42",
+            || -> Result<(), ApiError> { panic!("a handler fault") },
+        )
+        .unwrap_err();
+        assert_eq!(err.status, 500);
+        assert_eq!(
+            err.message,
+            "internal error handling the request (request t-42)"
+        );
+        // What a handler returns passes through untouched.
+        assert_eq!(contain_panic("x", "t", || Ok::<_, ApiError>(7)), Ok(7));
+        let refused = contain_panic("x", "t", || Err::<(), _>(ApiError::not_found("gone")));
+        assert_eq!(refused.unwrap_err().status, 404);
     }
 
     #[test]

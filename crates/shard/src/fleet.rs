@@ -5,7 +5,7 @@ use std::sync::Arc;
 use sabre_topology::noise::NoiseModel;
 use sabre_topology::CouplingGraph;
 
-use crate::ShardError;
+use crate::{MemberKey, ShardError};
 
 /// One registered machine of a [`Fleet`]: its coupling graph plus the
 /// currently active calibration, if any.
@@ -181,6 +181,20 @@ impl Fleet {
     /// The members in registration order.
     pub fn members(&self) -> &[FleetMember] {
         &self.members
+    }
+
+    /// Each member's id, graph and calibration in registration order: the
+    /// fleet as a [`ShardedPlanCache`](crate::ShardedPlanCache) key reads
+    /// it.
+    pub fn keys(&self) -> Vec<MemberKey<'_>> {
+        self.members
+            .iter()
+            .map(|m| MemberKey {
+                id: &m.id,
+                graph: &m.graph,
+                noise: m.noise.as_ref(),
+            })
+            .collect()
     }
 
     /// Number of registered members.

@@ -23,6 +23,8 @@
 //! [`ShardedPlan::verify`] (backed by [`sabre_verify::verify_sharded`])
 //! proves the plan: every per-shard gate respects its device's coupling
 //! and the stitched plan is semantically equivalent to the input.
+//! [`ShardedPlanCache`] proves and scores a plan once, then serves each
+//! re-parameterization of its structure by re-binding the angles.
 //!
 //! Everything is **bit-deterministic** for a fixed seed, independent of
 //! thread count: the partitioner is single-threaded with seeded
@@ -56,10 +58,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 mod fleet;
 pub mod partition;
 mod plan;
 
+pub use cache::{MemberKey, ShardedPlanCache};
 pub use fleet::{Fleet, FleetMember};
 pub use partition::{partition, partition_cost, shard_qubits, Partition, ShardSpec};
 pub use plan::{CutGate, ShardQuality, ShardRoute, ShardedPlan, ShardedQuality};

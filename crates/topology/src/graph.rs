@@ -69,6 +69,9 @@ pub struct CouplingGraph {
     /// memory, sorted neighborhoods served as plain slices. See
     /// [`CsrAdjacency`].
     csr: CsrAdjacency,
+    /// [`CouplingGraph::fingerprint`], computed once at construction: a
+    /// pure function of `num_qubits` and `edges`, so equality is unchanged.
+    fingerprint: u64,
 }
 
 impl CouplingGraph {
@@ -111,10 +114,18 @@ impl CouplingGraph {
         canonical.dedup();
 
         let csr = CsrAdjacency::build(num_qubits, &canonical);
+        let mut fp = Fingerprinter::new("sabre/coupling-graph/v1");
+        fp.write_u64(u64::from(num_qubits));
+        fp.write_u64(canonical.len() as u64);
+        for &(a, b) in &canonical {
+            fp.write_u64(u64::from(a.0));
+            fp.write_u64(u64::from(b.0));
+        }
         Ok(CouplingGraph {
             num_qubits,
             edges: canonical,
             csr,
+            fingerprint: fp.finish(),
         })
     }
 
@@ -148,6 +159,7 @@ impl CouplingGraph {
     /// exactly when they have the same qubit count and the same coupling
     /// set, regardless of the edge order, duplicates, or endpoint order
     /// they were constructed from. Stable across processes and platforms.
+    /// Computed once at construction, so reading it is `O(1)`.
     ///
     /// This is the cache key of `sabre::DeviceCache`: preprocessed router
     /// state (Floyd–Warshall distance matrices) is stored per fingerprint,
@@ -167,14 +179,7 @@ impl CouplingGraph {
     /// assert_ne!(a.fingerprint(), c.fingerprint()); // different coupling
     /// ```
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprinter::new("sabre/coupling-graph/v1");
-        fp.write_u64(u64::from(self.num_qubits));
-        fp.write_u64(self.edges.len() as u64);
-        for &(a, b) in &self.edges {
-            fp.write_u64(u64::from(a.0));
-            fp.write_u64(u64::from(b.0));
-        }
-        fp.finish()
+        self.fingerprint
     }
 
     /// The qubits directly coupled to `q`, sorted — one contiguous CSR

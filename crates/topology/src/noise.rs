@@ -12,6 +12,7 @@
 //! it to steer SWAPs through high-fidelity couplers.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use sabre_circuit::fingerprint::Fingerprinter;
 use sabre_circuit::{Circuit, Qubit};
@@ -19,12 +20,22 @@ use sabre_circuit::{Circuit, Qubit};
 use crate::CouplingGraph;
 
 /// Per-device, per-edge error rates.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct NoiseModel {
     /// Two-qubit gate error per coupling, keyed by canonical `(min, max)`.
     edge_error: HashMap<(Qubit, Qubit), f64>,
     /// Average single-qubit gate error.
     single_qubit_error: f64,
+    /// [`NoiseModel::fingerprint`], computed on first use and carried by
+    /// clones; an override resets it.
+    fingerprint: OnceLock<u64>,
+}
+
+/// Equal rates, whether or not either side has computed its fingerprint.
+impl PartialEq for NoiseModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.single_qubit_error == other.single_qubit_error && self.edge_error == other.edge_error
+    }
 }
 
 impl NoiseModel {
@@ -49,6 +60,7 @@ impl NoiseModel {
                 .map(|&e| (e, two_qubit_error))
                 .collect(),
             single_qubit_error,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -83,6 +95,7 @@ impl NoiseModel {
         NoiseModel {
             edge_error,
             single_qubit_error: base / 10.0,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -100,6 +113,7 @@ impl NoiseModel {
             "({a}, {b}) is not a coupling of this device"
         );
         self.edge_error.insert(key, error);
+        self.fingerprint = OnceLock::new();
         self
     }
 
@@ -129,7 +143,9 @@ impl NoiseModel {
     ///
     /// `sabre::DeviceCache` keys noise-weighted distance matrices by
     /// `(graph.fingerprint(), noise.fingerprint())`, which is what lets a
-    /// calibration refresh recompute only the weighted matrix.
+    /// calibration refresh recompute only the weighted matrix. Computed
+    /// on first use and kept (clones made after that carry it), so a hot
+    /// cache key reads it in `O(1)`.
     ///
     /// # Example
     ///
@@ -145,6 +161,10 @@ impl NoiseModel {
     /// assert_ne!(a.fingerprint(), worse.fingerprint());
     /// ```
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
         let mut edges: Vec<(&(Qubit, Qubit), &f64)> = self.edge_error.iter().collect();
         edges.sort_by_key(|(&pair, _)| pair);
         let mut fp = Fingerprinter::new("sabre/noise-model/v1");
@@ -191,6 +211,26 @@ impl NoiseModel {
 mod tests {
     use super::*;
     use crate::devices;
+
+    #[test]
+    fn the_kept_fingerprint_follows_every_override() {
+        let device = devices::ibm_q20_tokyo();
+        let base = NoiseModel::calibrated(device.graph(), 0.02, 4.0, 7);
+        let before = base.fingerprint();
+        let clone = base.clone();
+        assert_eq!(clone.fingerprint(), before);
+        let (a, b) = device.graph().edges()[0];
+        let worse = clone.with_edge_error(a, b, 0.3);
+        // The override drops the kept value: the fingerprint is that of a
+        // model built with the new rate and never fingerprinted.
+        let fresh = NoiseModel::calibrated(device.graph(), 0.02, 4.0, 7).with_edge_error(a, b, 0.3);
+        assert_ne!(worse.fingerprint(), before);
+        assert_eq!(worse.fingerprint(), fresh.compute_fingerprint());
+        // Equality reads the rates, not whether a fingerprint was kept.
+        let unfingerprinted = NoiseModel::calibrated(device.graph(), 0.02, 4.0, 7);
+        assert_eq!(base, unfingerprinted);
+        assert_ne!(base, worse);
+    }
 
     #[test]
     fn uniform_model_everywhere_equal() {

@@ -51,7 +51,7 @@ mod simcheck;
 
 pub use compliance::check_compliance;
 pub use replay::{verify_routed, VerificationReport};
-pub use sharded::{verify_sharded, CutView, ShardView, ShardedReport};
+pub use sharded::{verify_sharded, CutView, GateSite, ShardView, ShardedReport};
 pub use simcheck::{verify_semantics_small, MAX_SIM_QUBITS};
 
 use std::error::Error;

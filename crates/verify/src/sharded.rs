@@ -68,8 +68,22 @@ pub struct CutView<'a> {
     pub pos_b: usize,
 }
 
-/// Successful sharded verification statistics.
+/// Where one original gate of a sharded plan executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GateSite {
+    /// In shard `shard`'s routed circuit, at gate index `position`.
+    Shard {
+        /// The shard's index in the plan.
+        shard: usize,
+        /// Index into the shard's routed circuit.
+        position: usize,
+    },
+    /// As entry `index` of the cut schedule.
+    Cut(usize),
+}
+
+/// Successful sharded verification statistics.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardedReport {
     /// Shards checked.
     pub shards: usize,
@@ -80,6 +94,9 @@ pub struct ShardedReport {
     pub cut_gates: usize,
     /// Inserted SWAPs replayed across all shards.
     pub swaps_replayed: usize,
+    /// `executed_at[i]` is where original gate `i` executed: a position
+    /// in its shard's routed circuit, or its index in the cut schedule.
+    pub executed_at: Vec<GateSite>,
 }
 
 /// Verifies a sharded plan against the original circuit. See the
@@ -95,10 +112,12 @@ pub fn verify_sharded(
     cuts: &[CutView<'_>],
 ) -> Result<ShardedReport, VerifyError> {
     let assignment = check_assignment(original, shards)?;
-    let (locals, derived_cuts) = split_by_assignment(original, &assignment, shards.len());
+    let (locals, derived_cuts, mut executed_at) =
+        split_by_assignment(original, &assignment, shards.len());
     check_cut_schedule(cuts, &derived_cuts)?;
 
     let mut swaps_replayed = 0;
+    let mut routed_positions = Vec::with_capacity(shards.len());
     for (index, (shard, local)) in shards.iter().zip(&locals).enumerate() {
         let report = verify_routed(
             local,
@@ -112,15 +131,24 @@ pub fn verify_sharded(
             source: Box::new(source),
         })?;
         swaps_replayed += report.swaps_replayed;
+        routed_positions.push(report.executed_at);
     }
 
     replay_stitched(original, shards, &locals, &derived_cuts)?;
 
+    // The split recorded each local gate's index in its shard's logical
+    // stream; the shard's replay maps that to its routed position.
+    for site in &mut executed_at {
+        if let GateSite::Shard { shard, position } = site {
+            *position = routed_positions[*shard][*position];
+        }
+    }
     Ok(ShardedReport {
         shards: shards.len(),
         gates_replayed: original.num_gates(),
         cut_gates: cuts.len(),
         swaps_replayed,
+        executed_at,
     })
 }
 
@@ -184,12 +212,14 @@ fn check_assignment(
 }
 
 /// Re-derives each shard's local logical sub-circuit (on shard-local
-/// wires) and the cross-shard cut sequence from the original circuit.
+/// wires) and the cross-shard cut sequence from the original circuit,
+/// plus each original gate's site: its index in its shard's local stream,
+/// or its cut index.
 fn split_by_assignment(
     original: &Circuit,
     assignment: &[usize],
     num_shards: usize,
-) -> (Vec<Circuit>, Vec<DerivedCut>) {
+) -> (Vec<Circuit>, Vec<DerivedCut>, Vec<GateSite>) {
     // Shard-local wire index of each global qubit.
     let mut local_index = vec![0u32; assignment.len()];
     let mut sizes = vec![0u32; num_shards];
@@ -199,11 +229,13 @@ fn split_by_assignment(
     }
     let mut locals: Vec<Circuit> = sizes.iter().map(|&n| Circuit::new(n)).collect();
     let mut cuts = Vec::new();
+    let mut sites = Vec::with_capacity(original.num_gates());
     for gate in original.iter() {
         let (a, b) = gate.qubits();
         match b {
             Some(b) if assignment[a.index()] != assignment[b.index()] => {
                 let (shard_a, shard_b) = (assignment[a.index()], assignment[b.index()]);
+                sites.push(GateSite::Cut(cuts.len()));
                 cuts.push(DerivedCut {
                     gate: *gate,
                     shard_a,
@@ -214,11 +246,15 @@ fn split_by_assignment(
             }
             _ => {
                 let shard = assignment[a.index()];
+                sites.push(GateSite::Shard {
+                    shard,
+                    position: locals[shard].num_gates(),
+                });
                 locals[shard].push(gate.map_qubits(|q| Qubit(local_index[q.index()])));
             }
         }
     }
-    (locals, cuts)
+    (locals, cuts, sites)
 }
 
 /// The claimed schedule must equal the derived one exactly.
@@ -375,6 +411,24 @@ mod tests {
         assert_eq!(report.gates_replayed, 4);
         assert_eq!(report.cut_gates, 1);
         assert_eq!(report.swaps_replayed, 0);
+        assert_eq!(
+            report.executed_at,
+            [
+                GateSite::Shard {
+                    shard: 0,
+                    position: 0
+                },
+                GateSite::Shard {
+                    shard: 1,
+                    position: 0
+                },
+                GateSite::Cut(0),
+                GateSite::Shard {
+                    shard: 1,
+                    position: 1
+                },
+            ]
+        );
     }
 
     #[test]

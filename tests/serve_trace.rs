@@ -544,7 +544,8 @@ fn trace_shape(trace: &JsonValue) -> TraceShape {
 
 /// Pins which phases (in order), device stamp and annotations each kind
 /// of request leaves in the trace ring: a plan-cache miss, the hit that
-/// follows it, a batch, a sharded route, and a body that fails to parse.
+/// follows it, a batch, a sharded miss and the sharded hit that follows
+/// it, and a body that fails to parse.
 #[test]
 fn each_request_kind_leaves_its_trace_shape() {
     let handle = server(ServeConfig::default());
@@ -577,44 +578,37 @@ fn each_request_kind_leaves_its_trace_shape() {
         };
     let quality = ["swaps", "depth_overhead"];
     let queued = ["read", "parse", "admission", "queue_wait", "write"];
+    let miss = [
+        "read",
+        "parse",
+        "plan_cache",
+        "admission",
+        "queue_wait",
+        "route",
+        "serialize",
+        "write",
+    ];
+    let hit = [
+        "read",
+        "parse",
+        "plan_cache",
+        "rebind",
+        "serialize",
+        "write",
+    ];
+    let sharded_quality = ["swaps", "cut_gates"];
     let cases = [
         (
             "miss",
             "/route",
             route.as_str(),
-            shape(
-                200,
-                Some("tokyo"),
-                &quality,
-                &[
-                    "read",
-                    "parse",
-                    "plan_cache",
-                    "admission",
-                    "queue_wait",
-                    "route",
-                    "serialize",
-                    "write",
-                ],
-            ),
+            shape(200, Some("tokyo"), &quality, &miss),
         ),
         (
             "hit",
             "/route",
             route.as_str(),
-            shape(
-                200,
-                Some("tokyo"),
-                &quality,
-                &[
-                    "read",
-                    "parse",
-                    "plan_cache",
-                    "rebind",
-                    "serialize",
-                    "write",
-                ],
-            ),
+            shape(200, Some("tokyo"), &quality, &hit),
         ),
         (
             "batch",
@@ -623,10 +617,16 @@ fn each_request_kind_leaves_its_trace_shape() {
             shape(200, Some("tokyo"), &["swaps"], &queued),
         ),
         (
-            "sharded",
+            "sharded-miss",
             "/route_sharded",
             sharded.as_str(),
-            shape(200, None, &["swaps", "cut_gates"], &queued),
+            shape(200, None, &sharded_quality, &miss),
+        ),
+        (
+            "sharded-hit",
+            "/route_sharded",
+            sharded.as_str(),
+            shape(200, None, &sharded_quality, &hit),
         ),
         (
             "bad-json",

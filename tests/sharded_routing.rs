@@ -6,18 +6,22 @@
 //! - output is bit-identical for a fixed seed across repeat calls, cold
 //!   vs warm caches, and thread counts (CI runs this suite under
 //!   `RAYON_NUM_THREADS=1` and `=8`);
-//! - property tests: the partitioner never overfills a device and every
-//!   sharded plan verifies;
+//! - property tests: the partitioner never overfills a device, every
+//!   sharded plan verifies, and a sharded-plan cache hit is byte-identical
+//!   to a fresh route of the re-parameterized circuit;
 //! - loopback e2e: `POST /route_sharded` returns the same plan as the
-//!   direct library call.
+//!   direct library call, routed on the first request and re-bound from
+//!   the sharded-plan cache on the second.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sabre::{DeviceCache, SabreConfig};
 use sabre_benchgen::random::random_circuit;
 use sabre_circuit::interaction::InteractionGraph;
-use sabre_circuit::Qubit;
+use sabre_circuit::{Circuit, Gate, Qubit};
 use sabre_json::JsonValue;
-use sabre_shard::{partition, route_sharded, Fleet, ShardConfig, ShardSpec};
+use sabre_shard::{partition, route_sharded, Fleet, ShardConfig, ShardSpec, ShardedPlanCache};
 use sabre_topology::devices;
 use sabre_topology::noise::NoiseModel;
 
@@ -33,6 +37,45 @@ fn two_tokyo_fleet() -> Fleet {
         .register("tokyo-b", devices::ibm_q20_tokyo().graph().clone())
         .unwrap();
     fleet
+}
+
+/// Two Tokyo chips, each with its own calibration.
+fn two_noisy_tokyo_fleet() -> Fleet {
+    let tokyo = devices::ibm_q20_tokyo().graph().clone();
+    let mut fleet = Fleet::new();
+    for (id, seed) in [("tokyo-a", 11), ("tokyo-b", 12)] {
+        let noise = NoiseModel::calibrated(&tokyo, 0.02, 4.0, seed);
+        fleet.register_with_noise(id, tokyo.clone(), noise).unwrap();
+    }
+    fleet
+}
+
+/// `random_circuit`'s structure with some CX gates turned into the
+/// angle-carrying RZZ and CP, so that cut gates carry angles too.
+fn parametric_wide(n: u32, gates: usize, seed: u64) -> Circuit {
+    let base = random_circuit(n, gates, 0.75, seed);
+    let mut c = Circuit::with_name(n, base.name());
+    for (k, gate) in base.gates().iter().enumerate() {
+        match (gate, k % 3) {
+            (Gate::Two { a, b, .. }, 1) => c.rzz(*a, *b, 0.1),
+            (Gate::Two { a, b, .. }, 2) => c.cp(*a, *b, 0.2),
+            _ => c.push(*gate),
+        }
+    }
+    c
+}
+
+/// `circuit` with every angle redrawn from `salt`.
+fn reparameterized(circuit: &Circuit, salt: u64) -> Circuit {
+    let mut rng = StdRng::seed_from_u64(salt);
+    let mut out = circuit.clone();
+    for (index, gate) in circuit.gates().iter().enumerate() {
+        let n = gate.params().len();
+        if n > 0 {
+            out.replace_params(index, (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect());
+        }
+    }
+    out
 }
 
 fn fast_shard_config(seed: u64) -> ShardConfig {
@@ -205,6 +248,40 @@ proptest! {
         let report = plan.verify(&circuit, &fleet);
         prop_assert!(report.is_ok(), "verification failed: {:?}", report.err());
     }
+
+    /// A sharded-plan cache hit serves a re-parameterization exactly what
+    /// a fresh route of it returns: the plan's JSON, cut angles included,
+    /// and its quality, byte for byte, with and without noise.
+    #[test]
+    fn sharded_plan_hits_equal_fresh_routes(
+        n in 21u32..=34,
+        gates in 20usize..160,
+        circuit_seed in any::<u64>(),
+        salt in any::<u64>(),
+        noisy in any::<bool>(),
+    ) {
+        let fleet = if noisy { two_noisy_tokyo_fleet() } else { two_tokyo_fleet() };
+        let config = fast_shard_config(circuit_seed ^ salt);
+        let device_cache = DeviceCache::new();
+        let cache = ShardedPlanCache::with_capacity(4);
+        let first = parametric_wide(n, gates, circuit_seed);
+        let plan = route_sharded(&first, &fleet, &config, &device_cache).unwrap();
+        cache.insert(&first, &fleet, &config, &plan).unwrap();
+
+        let resubmit = reparameterized(&first, salt);
+        let (hit, quality) = cache
+            .lookup(&resubmit, &fleet.keys(), &config)
+            .expect("same structure must hit");
+        let fresh = route_sharded(&resubmit, &fleet, &config, &device_cache).unwrap();
+        prop_assert_eq!(hit.to_json().to_compact(), fresh.to_json().to_compact());
+        prop_assert_eq!(
+            quality.to_json().to_compact(),
+            fresh.quality(&resubmit, &fleet).to_json().to_compact()
+        );
+        for (h, f) in hit.shards.iter().zip(&fresh.shards) {
+            prop_assert_eq!(&h.result.best, &f.result.best);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -265,6 +342,7 @@ fn route_sharded_endpoint_matches_direct_library_call() {
     assert_eq!(status, 200, "{response}");
     assert_eq!(response.get("verified").unwrap().as_bool(), Some(true));
     assert_eq!(response.get("seed").unwrap().as_u64(), Some(seed));
+    assert_eq!(response.get("plan_cache").unwrap().as_str(), Some("miss"));
 
     // The served plan must equal the direct library call byte for byte.
     let mut fleet = Fleet::new();
@@ -289,8 +367,14 @@ fn route_sharded_endpoint_matches_direct_library_call() {
         direct.to_json().to_compact(),
         "served plan must be byte-identical to the direct library call"
     );
+    let direct_quality = direct.quality(&circuit, &fleet).to_json().to_compact();
+    assert_eq!(
+        response.get("quality").unwrap().to_compact(),
+        direct_quality
+    );
 
-    // An inline device list resolves to the same plan as the named fleet.
+    // An inline device list names the same fleet as the named one, so the
+    // structure's proven plan answers it: a hit, equal to the direct call.
     let mut inline = body.clone();
     if let JsonValue::Object(pairs) = &mut inline {
         pairs.retain(|(k, _)| k != "fleet");
@@ -304,9 +388,15 @@ fn route_sharded_endpoint_matches_direct_library_call() {
     }
     let (status, via_devices) = post_json(addr, "/route_sharded", &inline);
     assert_eq!(status, 200);
+    assert_eq!(via_devices.get("plan_cache").unwrap().as_str(), Some("hit"));
+    assert_eq!(via_devices.get("verified").unwrap().as_bool(), Some(true));
     assert_eq!(
         via_devices.get("plan").unwrap().to_compact(),
         direct.to_json().to_compact(),
+    );
+    assert_eq!(
+        via_devices.get("quality").unwrap().to_compact(),
+        direct_quality
     );
 
     // Validation: unknown fleet, oversized circuit, bad cut cost.
