@@ -5,12 +5,10 @@
 //! `(mapping, executed-gate-set)` states — the same idea as Siraichi et
 //! al.'s dynamic program, which "requires exponential time and space …
 //! and can only work for circuits with 8 or fewer qubits" (§VII). This
-//! module provides that ground truth so tests and benchmarks can measure
-//! how far heuristics sit from the true optimum:
-//!
-//! - [`min_swaps_from`] — optimum for a fixed initial mapping;
-//! - [`min_swaps_global`] — optimum over **all** initial mappings, i.e.
-//!   the best any router (SABRE included) could possibly achieve.
+//! module provides that ground truth so tests can measure how far
+//! heuristics sit from the true optimum: [`min_swaps_global`] returns the
+//! optimum over **all** initial mappings, i.e. the best any router (SABRE
+//! included) could possibly achieve.
 //!
 //! States are pruned by a seen-set; the state space is
 //! `N! / (N-n)! × 2^{g₂}`, so callers must keep devices at ≤ 8 physical
@@ -105,30 +103,16 @@ fn validate(circuit: &Circuit, graph: &CouplingGraph) -> usize {
     g2
 }
 
-/// Minimum number of SWAPs to route `circuit` on `graph` starting from
-/// `initial`. `None` if `state_cap` states were visited without finishing
-/// (raise the cap for harder instances).
+/// Minimum number of SWAPs over **all** initial mappings — the true
+/// optimum of the qubit mapping problem for this instance. Runs a
+/// multi-source BFS seeded with every placement of the circuit's qubits.
+/// `None` if `state_cap` states were visited without finishing (raise the
+/// cap for harder instances).
 ///
 /// # Panics
 ///
 /// Panics if the instance exceeds the size caps, the device is
 /// disconnected, or the circuit does not fit.
-pub fn min_swaps_from(
-    circuit: &Circuit,
-    graph: &CouplingGraph,
-    initial: &Layout,
-    state_cap: usize,
-) -> Option<usize> {
-    search(circuit, graph, std::iter::once(initial.clone()), state_cap)
-}
-
-/// Minimum number of SWAPs over **all** initial mappings — the true
-/// optimum of the qubit mapping problem for this instance. Runs a
-/// multi-source BFS seeded with every placement of the circuit's qubits.
-///
-/// # Panics
-///
-/// Same conditions as [`min_swaps_from`].
 pub fn min_swaps_global(
     circuit: &Circuit,
     graph: &CouplingGraph,
@@ -216,16 +200,19 @@ mod tests {
 
     const CAP: usize = 2_000_000;
 
+    /// Minimum number of SWAPs starting from the identity mapping.
+    fn optimum_from_identity(circuit: &Circuit, graph: &CouplingGraph) -> Option<usize> {
+        let initial = Layout::identity(graph.num_qubits());
+        search(circuit, graph, std::iter::once(initial), CAP)
+    }
+
     #[test]
     fn compliant_circuit_needs_zero() {
         let g = devices::linear(4);
         let mut c = Circuit::new(4);
         c.cx(Qubit(0), Qubit(1));
         c.cx(Qubit(2), Qubit(3));
-        assert_eq!(
-            min_swaps_from(&c, g.graph(), &Layout::identity(4), CAP),
-            Some(0)
-        );
+        assert_eq!(optimum_from_identity(&c, g.graph()), Some(0));
         assert_eq!(min_swaps_global(&c, g.graph(), CAP), Some(0));
     }
 
@@ -235,10 +222,7 @@ mod tests {
         let mut c = Circuit::new(5);
         c.cx(Qubit(0), Qubit(4));
         // Distance 4 ⇒ 3 swaps from identity, but 0 with free placement.
-        assert_eq!(
-            min_swaps_from(&c, g.graph(), &Layout::identity(5), CAP),
-            Some(3)
-        );
+        assert_eq!(optimum_from_identity(&c, g.graph()), Some(3));
         assert_eq!(min_swaps_global(&c, g.graph(), CAP), Some(0));
     }
 
@@ -256,7 +240,7 @@ mod tests {
         c.cx(q3, q4);
         c.cx(q1, q4);
         assert_eq!(
-            min_swaps_from(&c, &g, &Layout::identity(4), CAP),
+            optimum_from_identity(&c, &g),
             Some(1),
             "paper §III-A: one SWAP suffices and is necessary"
         );

@@ -1,60 +1,14 @@
 //! Additional NISQ algorithm workloads beyond the Table II suite.
 //!
 //! The paper motivates mapping with the NISQ application classes of its
-//! introduction — search, optimization, simulation. These generators
-//! provide the standard representatives (GHZ state preparation,
-//! Bernstein–Vazirani, QAOA MaxCut ansätze) for examples, benches, and
-//! tests that want workloads with different interaction shapes than
-//! QFT/Ising/arithmetic: star-shaped (BV), chain (GHZ) and
-//! arbitrary-graph (QAOA).
+//! introduction — search, optimization, simulation. This module provides
+//! the optimization representative, QAOA MaxCut ansätze, for examples and
+//! tests that want an interaction shape other than QFT/Ising/arithmetic:
+//! an arbitrary graph of tunable density.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sabre_circuit::{Circuit, Qubit};
-
-/// GHZ state preparation: `H(0)` then a CNOT chain — interaction graph is
-/// a path, so a perfect mapping exists on any connected device.
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub fn ghz(n: u32) -> Circuit {
-    assert!(n >= 2, "GHZ needs at least two qubits");
-    let mut c = Circuit::with_name(n, format!("ghz_{n}"));
-    c.h(Qubit(0));
-    for i in 0..n - 1 {
-        c.cx(Qubit(i), Qubit(i + 1));
-    }
-    c
-}
-
-/// Bernstein–Vazirani with an `n`-bit secret (bit `i` of `secret` set ⇒
-/// CNOT from input qubit `i` to the ancilla, which is wire `n`): a
-/// star-shaped interaction graph centered on the ancilla — the worst case
-/// for low-degree devices.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or `n >= 64`.
-pub fn bernstein_vazirani(n: u32, secret: u64) -> Circuit {
-    assert!(n > 0 && n < 64, "secret width must be 1..=63 bits");
-    let ancilla = Qubit(n);
-    let mut c = Circuit::with_name(n + 1, format!("bv_{n}"));
-    for i in 0..n {
-        c.h(Qubit(i));
-    }
-    c.x(ancilla);
-    c.h(ancilla);
-    for i in 0..n {
-        if (secret >> i) & 1 == 1 {
-            c.cx(Qubit(i), ancilla);
-        }
-    }
-    for i in 0..n {
-        c.h(Qubit(i));
-    }
-    c
-}
 
 /// A QAOA MaxCut ansatz over a random Erdős–Rényi graph: `layers`
 /// repetitions of (per-edge `CX·RZ·CX` cost unitaries + per-qubit `RX`
@@ -110,50 +64,6 @@ pub fn qaoa_maxcut(n: u32, edge_probability: f64, layers: u32, seed: u64) -> Cir
 mod tests {
     use super::*;
     use sabre_circuit::interaction::InteractionGraph;
-    use sabre_sim::StateVector;
-
-    #[test]
-    fn ghz_produces_the_ghz_state() {
-        let c = ghz(4);
-        let state = StateVector::zero(4).evolved(&c);
-        assert!((state.probability(0b0000) - 0.5).abs() < 1e-12);
-        assert!((state.probability(0b1111) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ghz_interaction_is_a_path() {
-        let ig = InteractionGraph::of(&ghz(8));
-        assert_eq!(ig.num_edges(), 7);
-        assert_eq!(ig.max_degree(), 2);
-    }
-
-    #[test]
-    fn bv_couples_only_secret_bits_to_ancilla() {
-        let secret = 0b1011u64;
-        let c = bernstein_vazirani(4, secret);
-        let ig = InteractionGraph::of(&c);
-        assert_eq!(ig.num_edges(), 3, "three set bits");
-        for ((a, b), _) in ig.iter() {
-            assert_eq!(b, Qubit(4), "{a} couples to the ancilla only");
-        }
-    }
-
-    #[test]
-    fn bv_recovers_the_secret() {
-        // After the circuit, measuring the input register yields the
-        // secret deterministically.
-        let secret = 0b101u64;
-        let c = bernstein_vazirani(3, secret);
-        let state = StateVector::zero(4).evolved(&c);
-        // Input register = bits 0..3 of the index; ancilla is in |−⟩.
-        let mut prob_secret = 0.0f64;
-        for idx in 0..16usize {
-            if (idx & 0b111) == secret as usize {
-                prob_secret += state.probability(idx);
-            }
-        }
-        assert!((prob_secret - 1.0).abs() < 1e-9);
-    }
 
     #[test]
     fn qaoa_density_scales_interactions() {

@@ -52,32 +52,6 @@ pub fn ising_chain(n: u32, steps: u32) -> Circuit {
     c
 }
 
-/// Ising evolution on an arbitrary edge list instead of a chain (e.g. to
-/// generate a model matching a specific device, or a 2-D lattice model).
-///
-/// # Panics
-///
-/// Panics if `n < 2`, `steps == 0`, or an edge endpoint is out of range.
-pub fn ising_on_edges(n: u32, edges: &[(u32, u32)], steps: u32) -> Circuit {
-    assert!(n >= 2, "need at least two qubits");
-    assert!(steps > 0, "at least one Trotter step required");
-    let mut c = Circuit::with_name(n, format!("ising_custom_{n}"));
-    let dt = 0.1;
-    for step in 0..steps {
-        let zz = dt * (1.0 + 0.01 * f64::from(step));
-        for &(a, b) in edges {
-            let (qa, qb) = (Qubit(a), Qubit(b));
-            c.cx(qa, qb);
-            c.rz(qb, zz);
-            c.cx(qa, qb);
-        }
-        for i in 0..n {
-            c.rx(Qubit(i), dt * 0.5);
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,15 +82,6 @@ mod tests {
             assert_eq!(b.0 - a.0, 1, "only nearest-neighbor couplings");
         }
         assert_eq!(ig.max_degree(), 2);
-    }
-
-    #[test]
-    fn custom_edges_respected() {
-        let c = ising_on_edges(4, &[(0, 2), (1, 3)], 2);
-        let ig = InteractionGraph::of(&c);
-        assert_eq!(ig.num_edges(), 2);
-        assert!(ig.weight(Qubit(0), Qubit(2)) > 0);
-        assert!(ig.weight(Qubit(1), Qubit(3)) > 0);
     }
 
     #[test]

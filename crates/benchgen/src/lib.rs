@@ -7,7 +7,8 @@
 //! regenerates the suite:
 //!
 //! - [`qft`]: **structurally exact** Quantum Fourier Transform circuits
-//!   (full and approximate variants, controlled-phase or CNOT-decomposed).
+//!   (full and approximate variants CNOT-decomposed, and an approximate
+//!   variant that keeps each controlled phase as one gate).
 //! - [`ising`]: **structurally exact** trotterized 1-D transverse-field
 //!   Ising model circuits — nearest-neighbor interactions only, so a
 //!   perfect (zero-SWAP) mapping exists on any device with a Hamiltonian

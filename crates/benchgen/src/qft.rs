@@ -9,16 +9,6 @@ use std::f64::consts::PI;
 
 use sabre_circuit::{Circuit, Qubit};
 
-/// Full QFT with controlled-phase gates kept as single two-qubit `CP`
-/// operations. `n·(n-1)/2` two-qubit gates.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn qft_cp(n: u32) -> Circuit {
-    qft_approximate_cp(n, n.saturating_sub(1).max(1))
-}
-
 /// Approximate QFT with `CP` gates: rotations between qubits farther than
 /// `max_distance` apart are dropped (their angles are exponentially small).
 ///
@@ -94,10 +84,23 @@ mod tests {
     use super::*;
     use sabre_circuit::interaction::InteractionGraph;
 
+    /// The full QFT with every `CP` kept, written out directly: the
+    /// reference the approximate generator must reproduce with no cutoff.
+    fn reference_qft(n: u32) -> Circuit {
+        let mut c = Circuit::with_name(n, format!("qft_{n}"));
+        for i in (0..n).rev() {
+            c.h(Qubit(i));
+            for j in (0..i).rev() {
+                c.cp(Qubit(j), Qubit(i), PI / f64::from(1u32 << (i - j)));
+            }
+        }
+        c
+    }
+
     #[test]
     fn qft_cp_gate_count() {
         for n in [2u32, 5, 10] {
-            let c = qft_cp(n);
+            let c = qft_approximate_cp(n, n - 1);
             let pairs = (n * (n - 1) / 2) as usize;
             assert_eq!(c.num_two_qubit_gates(), pairs);
             assert_eq!(c.num_one_qubit_gates(), n as usize);
@@ -127,7 +130,7 @@ mod tests {
 
     #[test]
     fn approximate_qft_drops_long_range_rotations() {
-        let full = qft_cp(8);
+        let full = reference_qft(8);
         let approx = qft_approximate_cp(8, 3);
         assert!(approx.num_two_qubit_gates() < full.num_two_qubit_gates());
         let ig = InteractionGraph::of(&approx);
@@ -139,12 +142,12 @@ mod tests {
     #[test]
     fn approximate_with_full_distance_equals_full() {
         assert_eq!(qft_approximate(7, 6), qft(7));
-        assert_eq!(qft_approximate_cp(7, 6), qft_cp(7));
+        assert_eq!(qft_approximate_cp(7, 6), reference_qft(7));
     }
 
     #[test]
     fn cp_and_decomposed_have_same_interaction_multigraph() {
-        let a = InteractionGraph::of(&qft_cp(7));
+        let a = InteractionGraph::of(&reference_qft(7));
         let b = InteractionGraph::of(&qft(7));
         assert_eq!(a.num_edges(), b.num_edges());
         for ((qa, qb), w) in a.iter() {
@@ -154,7 +157,7 @@ mod tests {
 
     #[test]
     fn angles_halve_with_distance() {
-        let c = qft_cp(4);
+        let c = qft_approximate_cp(4, 3);
         // First CP written is for target 3, control 2 → distance 1 → π/2.
         let first_cp = c
             .iter()

@@ -171,12 +171,6 @@ impl TwoQubitKind {
         }
     }
 
-    /// Whether exchanging the two operands leaves the gate's unitary
-    /// unchanged. CX is the only asymmetric member of the set.
-    pub fn is_symmetric(self) -> bool {
-        !matches!(self, TwoQubitKind::Cx)
-    }
-
     /// All two-qubit kinds, useful for exhaustive tests and fuzzing.
     pub const ALL: [TwoQubitKind; 5] = [
         TwoQubitKind::Cx,
@@ -747,12 +741,5 @@ mod tests {
     #[should_panic(expected = "at most 3")]
     fn params_reject_four_values() {
         let _: Params = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-    }
-
-    #[test]
-    fn symmetry_flags() {
-        assert!(!TwoQubitKind::Cx.is_symmetric());
-        assert!(TwoQubitKind::Cz.is_symmetric());
-        assert!(TwoQubitKind::Swap.is_symmetric());
     }
 }

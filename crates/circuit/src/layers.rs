@@ -6,11 +6,10 @@
 //! that preprocessing: an ASAP greedy partition where each gate joins the
 //! earliest layer compatible with its wire availability.
 //!
-//! Two flavours are provided: [`parallel_layers`] over all gates (defines
-//! circuit depth) and [`two_qubit_layers`] over just the two-qubit skeleton
-//! (what BKA routes layer by layer).
+//! [`two_qubit_layers`] partitions the two-qubit skeleton, which is what BKA
+//! routes layer by layer.
 
-use crate::{Circuit, Gate, Qubit};
+use crate::{Circuit, Gate};
 
 /// One layer: indices of gates (into the source circuit) acting on
 /// pairwise-disjoint wires.
@@ -44,78 +43,59 @@ impl Layer {
     }
 }
 
-/// Partitions all gates into ASAP layers. The number of layers equals
-/// [`Circuit::depth`].
+/// Partitions only the two-qubit gates into ASAP layers, ignoring
+/// single-qubit gates entirely (they do not constrain mapping). This is the
+/// layer structure BKA searches over.
 ///
 /// ```
-/// use sabre_circuit::{layers::parallel_layers, Circuit, Qubit};
+/// use sabre_circuit::{layers::two_qubit_layers, Circuit, Qubit};
 ///
 /// let mut c = Circuit::new(4);
 /// c.cx(Qubit(0), Qubit(1));
 /// c.cx(Qubit(2), Qubit(3)); // parallel with the first
+/// c.h(Qubit(1)); // ignored
 /// c.cx(Qubit(1), Qubit(2));
-/// let layers = parallel_layers(&c);
+/// let layers = two_qubit_layers(&c);
 /// assert_eq!(layers.len(), 2);
 /// assert_eq!(layers[0].len(), 2);
 /// ```
-pub fn parallel_layers(circuit: &Circuit) -> Vec<Layer> {
-    layers_impl(circuit, |_| true)
-}
-
-/// Partitions only the two-qubit gates into ASAP layers, ignoring
-/// single-qubit gates entirely (they do not constrain mapping). This is the
-/// layer structure BKA searches over.
 pub fn two_qubit_layers(circuit: &Circuit) -> Vec<Layer> {
-    layers_impl(circuit, Gate::is_two_qubit)
-}
-
-fn layers_impl(circuit: &Circuit, include: impl Fn(&Gate) -> bool) -> Vec<Layer> {
     let mut wire_layer = vec![0usize; circuit.num_qubits() as usize];
     let mut layers: Vec<Layer> = Vec::new();
     for (idx, gate) in circuit.iter().enumerate() {
-        if !include(gate) {
+        let (a, Some(b)) = gate.qubits() else {
             continue;
-        }
-        let (a, b) = gate.qubits();
-        let layer_idx = match b {
-            Some(b) => wire_layer[a.index()].max(wire_layer[b.index()]),
-            None => wire_layer[a.index()],
         };
+        let layer_idx = wire_layer[a.index()].max(wire_layer[b.index()]);
         if layer_idx == layers.len() {
             layers.push(Layer::default());
         }
         layers[layer_idx].gate_indices.push(idx);
         wire_layer[a.index()] = layer_idx + 1;
-        if let Some(b) = b {
-            wire_layer[b.index()] = layer_idx + 1;
-        }
+        wire_layer[b.index()] = layer_idx + 1;
     }
     layers
-}
-
-/// Checks that the wires used inside a layer are pairwise disjoint; used by
-/// tests and by BKA debug assertions.
-pub fn layer_is_disjoint(circuit: &Circuit, layer: &Layer) -> bool {
-    let mut used: Vec<Qubit> = Vec::with_capacity(layer.len() * 2);
-    for &idx in layer.gate_indices() {
-        let (a, b) = circuit.gates()[idx].qubits();
-        if used.contains(&a) {
-            return false;
-        }
-        used.push(a);
-        if let Some(b) = b {
-            if used.contains(&b) {
-                return false;
-            }
-            used.push(b);
-        }
-    }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Qubit;
+
+    /// Whether the wires used inside `layer` are pairwise disjoint.
+    fn wires_disjoint(circuit: &Circuit, layer: &Layer) -> bool {
+        let mut used: Vec<Qubit> = Vec::with_capacity(layer.len() * 2);
+        for gate in layer.gates(circuit) {
+            let (a, b) = gate.qubits();
+            for q in std::iter::once(a).chain(b) {
+                if used.contains(&q) {
+                    return false;
+                }
+                used.push(q);
+            }
+        }
+        true
+    }
 
     fn sample() -> Circuit {
         let mut c = Circuit::new(4);
@@ -129,12 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_layer_count_equals_depth() {
-        let c = sample();
-        assert_eq!(parallel_layers(&c).len(), c.depth());
-    }
-
-    #[test]
     fn two_qubit_layer_count_equals_two_qubit_depth() {
         let c = sample();
         assert_eq!(two_qubit_layers(&c).len(), c.two_qubit_depth());
@@ -142,8 +116,10 @@ mod tests {
 
     #[test]
     fn every_gate_appears_exactly_once() {
+        // Every two-qubit gate sits in exactly one layer, and no
+        // single-qubit gate in any.
         let c = sample();
-        let layers = parallel_layers(&c);
+        let layers = two_qubit_layers(&c);
         let mut seen = vec![false; c.num_gates()];
         for layer in &layers {
             for &idx in layer.gate_indices() {
@@ -151,7 +127,9 @@ mod tests {
                 seen[idx] = true;
             }
         }
-        assert!(seen.iter().all(|&s| s));
+        for (idx, gate) in c.iter().enumerate() {
+            assert_eq!(seen[idx], gate.is_two_qubit(), "gate {idx}");
+        }
     }
 
     #[test]
@@ -170,18 +148,15 @@ mod tests {
     #[test]
     fn layers_are_disjoint() {
         let c = sample();
-        for layer in parallel_layers(&c) {
-            assert!(layer_is_disjoint(&c, &layer));
-        }
         for layer in two_qubit_layers(&c) {
-            assert!(layer_is_disjoint(&c, &layer));
+            assert!(wires_disjoint(&c, &layer));
         }
     }
 
     #[test]
     fn layer_order_respects_dependencies() {
         let c = sample();
-        let layers = parallel_layers(&c);
+        let layers = two_qubit_layers(&c);
         let mut layer_of = vec![usize::MAX; c.num_gates()];
         for (li, layer) in layers.iter().enumerate() {
             for &g in layer.gate_indices() {
@@ -195,17 +170,18 @@ mod tests {
 
     #[test]
     fn disjointness_checker_detects_overlap() {
+        // The checker `layers_are_disjoint` relies on must not pass
+        // everything.
         let c = sample();
         let bad = Layer {
             gate_indices: vec![1, 3], // share qubit 1
         };
-        assert!(!layer_is_disjoint(&c, &bad));
+        assert!(!wires_disjoint(&c, &bad));
     }
 
     #[test]
     fn empty_circuit_yields_no_layers() {
         let c = Circuit::new(3);
-        assert!(parallel_layers(&c).is_empty());
         assert!(two_qubit_layers(&c).is_empty());
     }
 
@@ -214,7 +190,6 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(Qubit(0));
         c.h(Qubit(1));
-        assert_eq!(parallel_layers(&c).len(), 1);
         assert!(two_qubit_layers(&c).is_empty());
     }
 }

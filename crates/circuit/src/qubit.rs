@@ -35,22 +35,6 @@ impl Qubit {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Builds a `Qubit` from a `usize` index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` exceeds `u32::MAX`; device and circuit sizes in the
-    /// NISQ regime are far below this bound.
-    ///
-    /// ```
-    /// # use sabre_circuit::Qubit;
-    /// assert_eq!(Qubit::from_index(5), Qubit(5));
-    /// ```
-    #[inline]
-    pub fn from_index(index: usize) -> Self {
-        Qubit(u32::try_from(index).expect("qubit index exceeds u32::MAX"))
-    }
 }
 
 impl fmt::Display for Qubit {
@@ -78,8 +62,8 @@ mod tests {
 
     #[test]
     fn index_round_trip() {
-        for i in [0usize, 1, 7, 1000] {
-            assert_eq!(Qubit::from_index(i).index(), i);
+        for i in [0u32, 1, 7, 1000] {
+            assert_eq!(Qubit(i).index(), i as usize);
         }
     }
 

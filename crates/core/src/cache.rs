@@ -269,12 +269,6 @@ impl DeviceCache {
         Ok(())
     }
 
-    /// The shared embedding-verdict store attached to every router this
-    /// cache hands out.
-    pub fn embedding_verdicts(&self) -> &Arc<EmbeddingVerdictCache> {
-        &self.verdicts
-    }
-
     /// Number of distinct devices currently cached.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -656,6 +650,6 @@ mod tests {
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
-        assert!(cache.embedding_verdicts().is_empty());
+        assert!(cache.verdicts.is_empty());
     }
 }

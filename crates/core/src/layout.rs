@@ -26,7 +26,7 @@ use sabre_topology::{CouplingGraph, DENSE_DISTANCE_THRESHOLD};
 /// let mut layout = Layout::identity(4);
 /// layout.swap_physical(Qubit(0), Qubit(3));
 /// assert_eq!(layout.phys_of(Qubit(0)), Qubit(3));
-/// assert_eq!(layout.logical_on(Qubit(3)), Qubit(0));
+/// assert_eq!(layout.phys_of(Qubit(3)), Qubit(0));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Layout {
@@ -133,12 +133,6 @@ impl Layout {
         self.log_to_phys[logical.index()]
     }
 
-    /// `π⁻¹(Q)`: the logical qubit currently on physical `Q`.
-    #[inline]
-    pub fn logical_on(&self, phys: Qubit) -> Qubit {
-        self.phys_to_log[phys.index()]
-    }
-
     /// The full `logical → physical` table.
     pub fn logical_to_physical(&self) -> &[Qubit] {
         &self.log_to_phys
@@ -198,7 +192,7 @@ mod tests {
         let l = Layout::identity(5);
         for q in 0..5u32 {
             assert_eq!(l.phys_of(Qubit(q)), Qubit(q));
-            assert_eq!(l.logical_on(Qubit(q)), Qubit(q));
+            assert_eq!(l.phys_to_log[q as usize], Qubit(q));
         }
         assert!(l.is_consistent());
         assert_eq!(l.len(), 5);
@@ -210,8 +204,8 @@ mod tests {
         l.swap_physical(Qubit(1), Qubit(2));
         assert_eq!(l.phys_of(Qubit(1)), Qubit(2));
         assert_eq!(l.phys_of(Qubit(2)), Qubit(1));
-        assert_eq!(l.logical_on(Qubit(1)), Qubit(2));
-        assert_eq!(l.logical_on(Qubit(2)), Qubit(1));
+        assert_eq!(l.phys_to_log[1], Qubit(2));
+        assert_eq!(l.phys_to_log[2], Qubit(1));
         assert!(l.is_consistent());
     }
 

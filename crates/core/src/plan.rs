@@ -137,9 +137,8 @@ pub struct RoutedPlan {
     graph: Arc<CouplingGraph>,
     /// Calibration the plan was routed under (`None` = hop distances).
     noise: Option<NoiseModel>,
-    /// The config the plan was routed under. Only the objective fields
-    /// are keyed, but the full config is kept so `routed_config` can
-    /// report the provenance.
+    /// The config the plan was routed under; hits check its objective
+    /// fields, the only ones keyed, against the request's.
     config: SabreConfig,
     /// The full first-route result; `rebind` clones its `best` skeleton.
     result: SabreResult,
@@ -157,11 +156,6 @@ pub struct RoutedPlan {
 }
 
 impl RoutedPlan {
-    /// The config the plan was routed under (provenance for responses).
-    pub fn routed_config(&self) -> &SabreConfig {
-        &self.config
-    }
-
     /// The quality report computed when the plan was first cached.
     /// Parameters don't change structure, so this is byte-identical to
     /// recomputing quality on any rebind of the plan.

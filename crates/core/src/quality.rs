@@ -5,7 +5,7 @@
 //! count** and **depth overhead**; Niu et al.'s follow-up work scores the
 //! same plans by **estimated success probability** under per-edge
 //! calibration data. [`PlanQuality`] packages all three for any finished
-//! routing artifact, so the serving layer, the bench harness, and the CI
+//! routing artifact, so the serving layer, routebench, and the CI
 //! regression gate all report the same numbers from the same code:
 //!
 //! - inserted SWAP count and the paper's `3 × swaps` added-gate

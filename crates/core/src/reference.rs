@@ -10,14 +10,10 @@
 //! circuit as it goes, where the production engine drains event by event
 //! and logs its passes.
 //!
-//! It exists for two jobs and must not be "optimized":
-//!
-//! - **Differential testing** — `tests/hot_loop_equivalence.rs` asserts
-//!   the production engine's [`crate::RoutedCircuit`] is identical to this
-//!   one for the same inputs, which is what pins the incremental engine's
-//!   bit-exactness contract.
-//! - **Benchmark baseline** — `benches/routing_hot_loop.rs` measures the
-//!   production engine's per-step speedup against it.
+//! It exists for differential testing and must not be "optimized":
+//! `tests/hot_loop_equivalence.rs` asserts the production engine's
+//! [`crate::RoutedCircuit`] is identical to this one for the same inputs,
+//! which is what pins the incremental engine's bit-exactness contract.
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -13,7 +13,7 @@ fn registry_benchmarks_route_and_verify() {
     let router = SabreRouter::new(device.graph().clone(), SabreConfig::paper()).unwrap();
     for spec in registry::table2() {
         if spec.paper.g_ori > 1200 {
-            continue; // the giant rows run in the bench harness, not tests
+            continue; // the giant rows run in the quality gate and routebench, not tests
         }
         let circuit = spec.generate();
         let result = router.route(&circuit).unwrap();

@@ -100,9 +100,8 @@ fn engines_agree_on_every_heuristic_kind() {
 
 #[test]
 fn engines_agree_on_deep_grid_workload() {
-    // The bench workload shape: grid10x10, deep synthetic circuit — the
-    // configuration the ≥3× per-step speedup is claimed on must also be
-    // the configuration equivalence is proven on.
+    // A deep synthetic circuit on grid10x10: many search steps on a
+    // device past Tokyo's size, with hop distances.
     let graph = devices::grid(10, 10).graph().clone();
     let dist = WeightedDistanceMatrix::hops(&graph);
     let circuit = random::random_circuit(80, 2_000, 0.9, 1);
